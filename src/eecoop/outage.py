@@ -220,11 +220,21 @@ class MonomialTable:
     def n_terms(self) -> int:
         return self.coef.shape[0]
 
+    def _exponents(self, x):
+        """w @ x per period: (S,) for x (M+N,), (K, S) for x (M+N, K).
+
+        Stacked products run one matrix-vector product per period, so a
+        column of a batched call rounds exactly like the call on that
+        column alone.
+        """
+        x = np.asarray(x, dtype=float)
+        return np.matmul(self.w, x.T[..., None])[..., 0]
+
     def value(self, x):
         """x = log powers, shape (M+N,) or (M+N, K) column-wise."""
         with np.errstate(over="ignore"):
-            e = np.exp(self.w @ np.asarray(x, dtype=float))
-            return self.coef @ e
+            e = np.exp(self._exponents(x))
+        return np.matmul(e[..., None, :], self.coef[:, None])[..., 0, 0]
 
     def value_grad(self, x):
         with np.errstate(over="ignore"):
@@ -232,11 +242,21 @@ class MonomialTable:
         return float(t.sum()), self.w.T @ t
 
     def value_grad_hess(self, x):
+        """Value, gradient and Hessian at log powers x.
+
+        x of shape (M+N,) gives (float, (M+N,), (M+N, M+N)); x of shape
+        (M+N, K) gives every period at once: values (K,), gradients
+        (M+N, K) column-wise, Hessians (K, M+N, M+N).
+        """
         with np.errstate(over="ignore"):
-            t = self.coef * np.exp(self.w @ np.asarray(x, dtype=float))
-        grad = self.w.T @ t
-        hess = self.w.T @ (t[:, None] * self.w)
-        return float(t.sum()), grad, hess
+            t = self.coef * np.exp(self._exponents(x))
+        grad = np.matmul(self.w.T, t[..., None])[..., 0]
+        # period by period: a (K, S, M+N) temporary would grow with K
+        hess = np.array([self.w.T @ (t_k[:, None] * self.w)
+                         for t_k in np.atleast_2d(t)])
+        if t.ndim == 1:
+            return float(t.sum()), grad, hess[0]
+        return t.sum(axis=-1), grad.T, hess
 
     def hvp(self, x, v):
         """Hessian-vector product at log powers x."""

@@ -14,6 +14,15 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
 is convex and solved with a log-barrier interior-point method using damped
 Newton steps and a dense Cholesky factorization.  Solutions are audited
 against the exact outage expression afterwards.
+
+Every barrier evaluation assembles all periods in one pass.  Each outage
+table is evaluated once for the whole (M+N, K) log-power matrix, giving
+per-period values, gradients and (K, M+N, M+N) Hessians that the objective
+and the outage constraints share; each table's Hessians enter the Newton
+matrix in one block add over the periods' variable indices.  The depleted
+variant's log-budget user coordinates are folded in by a Jacobian and a
+curvature term.  Causality and budget rows are one coordinate-form
+Jacobian whose Hessian is scattered in row order.
 """
 
 from __future__ import annotations
@@ -97,13 +106,14 @@ class Layout:
             self.user_idx = None
         self.relay_idx = off + np.arange(N * K).reshape(N, K)
         off += N * K
+        self.pair_idx = {}
         if self.with_transfers:
-            self.pair_idx = {}
             for p, (i, j) in enumerate(self.pairs):
                 self.pair_idx[(i, j)] = off + np.arange(K) + p * K
             off += len(self.pairs) * K
-        else:
-            self.pair_idx = {}
+        # (pairs, K) index matrix in pair_idx order
+        self.pair_mat = np.array(list(self.pair_idx.values()),
+                                 dtype=int).reshape(-1, K)
         self.dim = off
 
     def transfer_array(self, z) -> np.ndarray:
@@ -143,6 +153,12 @@ def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
 # Every inequality is written g(z) <= 0.  In phase 1 a block marked soft is
 # relaxed to g(z) <= s * sigma with a shared slack variable s appended to z;
 # the barrier denominator is then (s * sigma - g) instead of (-g).
+#
+# Row logs and squared denominators use the scalar libm routines (math.log,
+# float **), which round a few arguments in 10^4 differently from np.log and
+# np.square, and row barriers and per-period objective terms are summed left
+# to right.  Once the barrier parameter is large the line search compares
+# values in their last bits, so this rounding fixes the Newton iterate path.
 
 
 def _denom(g, soft):
@@ -150,6 +166,26 @@ def _denom(g, soft):
         return -g
     s_val, _s_idx, sigma = soft
     return s_val * sigma - g
+
+
+def _log_barrier(d):
+    """-sum(log d) over the rows of d, or INF when a row is not positive."""
+    acc = 0.0
+    for v in d.tolist():
+        if not v > 0.0:
+            return INF
+        acc -= math.log(v)
+    return acc
+
+
+def _sum_in_order(start, terms):
+    """start + terms[0] + terms[1] + ..., added left to right."""
+    return float(np.cumsum(np.concatenate([[start], terms]))[-1])
+
+
+def _squares(d):
+    """d ** 2 entry by entry with float pow."""
+    return np.array([v ** 2 for v in d.ravel().tolist()]).reshape(d.shape)
 
 
 class Bounds:
@@ -160,18 +196,17 @@ class Bounds:
         self.sign = np.asarray(sign, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.n = self.idx.size
-        self.soft_class = None
 
     def values(self, z):
         return self.sign * z[self.idx] - self.b
 
-    def phi(self, z, soft=None):
+    def phi(self, z):
         denom = -self.values(z)
         if np.any(denom <= 0.0):
             return INF
         return -float(np.sum(np.log(denom)))
 
-    def barrier(self, z, grad, H, soft=None):
+    def barrier(self, z, grad, H):
         denom = -self.values(z)
         if np.any(denom <= 0.0):
             return INF
@@ -180,236 +215,170 @@ class Bounds:
         return -float(np.sum(np.log(denom)))
 
 
-class LinearCons:
-    """Rows of vals @ z[cols] - rhs <= 0."""
+class EnergyRows:
+    """Energy rows g = sum c * exp(z[e]) + a @ z[l] - rhs <= 0.
 
-    def __init__(self, rows, soft_class=None):
-        # rows: list of (cols array, vals array, rhs)
-        self.rows = [(np.asarray(c, dtype=int), np.asarray(v, dtype=float),
-                      float(r)) for c, v, r in rows]
-        self.n = len(self.rows)
-        self.soft_class = soft_class
-
-    def values(self, z):
-        return np.array([v @ z[c] - r for c, v, r in self.rows])
-
-    def phi(self, z, soft=None):
-        acc = 0.0
-        for c, v, r in self.rows:
-            d = _denom(v @ z[c] - r, soft)
-            if d <= 0.0:
-                return INF
-            acc -= math.log(d)
-        return acc
-
-    def barrier(self, z, grad, H, soft=None):
-        acc = 0.0
-        for c, v, r in self.rows:
-            d = _denom(v @ z[c] - r, soft)
-            if d <= 0.0:
-                return INF
-            acc -= math.log(d)
-            if soft is None:
-                cols, vals = c, v
-            else:
-                cols = np.append(c, soft[1])
-                vals = np.append(v, -soft[2])
-            grad[cols] += vals / d
-            H[np.ix_(cols, cols)] += np.outer(vals, vals) / d ** 2
-        return acc
-
-
-class CausalityCons:
-    """Cumulative energy causality, one row per (user, period).
-
-    g = sum coef_t * exp(z[exp_idx_t]) + lin_vals @ z[lin_cols] - rhs <= 0
+    Causality rows (cumulative user spending) and the depleted variant's
+    budget rows.  The Jacobian is held in coordinate form, entries listed
+    row by row with a row's exponential entries first.  The Hessian,
+    outer(v, v) / d**2 per row plus the curvature v / d of its exponential
+    entries, is scattered in unbuffered adds in row order, so every entry
+    accumulates its rows in sequence.  Row values are reduced for all rows
+    of one length at once, with the pairwise sum and dot product that a
+    single row of that length gets.
     """
 
-    def __init__(self, rows, soft_class=None):
-        self.rows = [(np.asarray(ei, dtype=int), np.asarray(ec, dtype=float),
-                      np.asarray(lc, dtype=int), np.asarray(lv, dtype=float),
-                      float(r)) for ei, ec, lc, lv, r in rows]
-        self.n = len(self.rows)
-        self.soft_class = soft_class
+    # Hessian triples per scatter: causality has O(M K^3) in all, and a
+    # chunk of this size keeps its index arrays in cache
+    CHUNK = 1 << 16
 
-    def _g_parts(self, z, row):
-        ei, ec, lc, lv, rhs = row
+    def __init__(self, rows, soft_class):
+        # rows: list of (exp cols, exp coefs, lin cols, lin vals, rhs)
+        self.n = len(rows)
+        self.soft_class = soft_class
+        self.n_exp = np.array([len(r[0]) for r in rows], dtype=int)
+        self.size = self.n_exp + [len(r[2]) for r in rows]
+        self.col = np.concatenate(
+            [np.concatenate([r[0], r[2]]) for r in rows]).astype(int)
+        self.coef = np.concatenate(
+            [np.concatenate([r[1], r[3]]) for r in rows]).astype(float)
+        start = np.cumsum(self.size) - self.size
+        self.is_exp = np.arange(self.col.size) \
+            < np.repeat(start + self.n_exp, self.size)
+        self.rhs = np.array([float(r[4]) for r in rows])
+        self.groups = []
+        for ne, n in sorted(set(zip(self.n_exp, self.size))):
+            rows_g = np.flatnonzero((self.n_exp == ne) & (self.size == n))
+            pos = start[rows_g][:, None] + np.arange(n)
+            self.groups.append((rows_g, pos[:, :ne], pos[:, ne:],
+                                self.col[pos[:, ne:]]))
+
+    def _entries(self, z):
+        """Jacobian entry values: c * exp(z) or the linear coefficient."""
+        vals = self.coef.copy()
         with np.errstate(over="ignore"):
-            e = ec * np.exp(z[ei])
-        lin = lv @ z[lc] if lc.size else 0.0
-        return float(e.sum() + lin - rhs), e
+            vals[self.is_exp] *= np.exp(z[self.col[self.is_exp]])
+        return vals
+
+    def _rows(self, z, vals):
+        g = np.empty(self.n)
+        for rows_g, epos, lpos, lcol in self.groups:
+            lin = np.matmul(vals[lpos][:, None, :], z[lcol][:, :, None])
+            g[rows_g] = (vals[epos].sum(axis=1) + lin[:, 0, 0]) \
+                - self.rhs[rows_g]
+        return g
 
     def values(self, z):
-        return np.array([self._g_parts(z, row)[0] for row in self.rows])
+        return self._rows(z, self._entries(z))
 
     def phi(self, z, soft=None):
-        acc = 0.0
-        for row in self.rows:
-            g, _ = self._g_parts(z, row)
-            d = _denom(g, soft)
-            if not d > 0.0:
-                return INF
-            acc -= math.log(d)
-        return acc
+        return _log_barrier(_denom(self.values(z), soft))
 
     def barrier(self, z, grad, H, soft=None):
-        acc = 0.0
-        for row in self.rows:
-            ei, ec, lc, lv, rhs = row
-            g, e = self._g_parts(z, row)
-            d = _denom(g, soft)
-            if not d > 0.0:
-                return INF
-            acc -= math.log(d)
-            cols = np.concatenate([ei, lc])
-            vals = np.concatenate([e, lv])
-            if soft is not None:
-                cols = np.append(cols, soft[1])
-                vals = np.append(vals, -soft[2])
-            grad[cols] += vals / d
-            H[np.ix_(cols, cols)] += np.outer(vals, vals) / d ** 2
-            # curvature of g itself: diag(e) on the exp part
-            H[ei, ei] += e / d
+        vals = self._entries(z)
+        d = _denom(self._rows(z, vals), soft)
+        acc = _log_barrier(d)
+        if not np.isfinite(acc):
+            return INF
+        # entries row by row, each row closed by its slack entry when soft
+        size = self.size + (soft is not None)
+        ent_row = np.repeat(np.arange(self.n), size)
+        start = np.cumsum(size) - size
+        ent = np.arange(ent_row.size)
+        own = ent - start[ent_row] < self.size[ent_row]
+        v = np.full(ent_row.size, 0.0 if soft is None else -soft[2])
+        cols = np.full(ent_row.size, -1 if soft is None else soft[1])
+        v[own] = vals
+        cols[own] = self.col
+        np.add.at(grad, cols, v / d[ent_row])
+        # Hessian triples, whole rows per chunk: a row's outer-product
+        # pairs (a-major), then the curvature of its exponential entries
+        d2 = _squares(d)
+        count = size ** 2 + self.n_exp
+        chunk = (np.cumsum(count) - count) // self.CHUNK
+        exp_ent = ent[own][self.is_exp]
+        width = H.shape[1]
+        for rows in np.split(np.arange(self.n),
+                             np.flatnonzero(np.diff(chunk)) + 1):
+            lo, hi = start[rows[0]], start[rows[-1]] + size[rows[-1]]
+            part = ent[lo:hi]
+            reps = size[ent_row[part]]
+            a = np.repeat(part, reps)
+            b = np.arange(a.size) + np.repeat(
+                start[ent_row[part]] - np.cumsum(reps) + reps, reps)
+            curv = exp_ent[(exp_ent >= lo) & (exp_ent < hi)]
+            at = np.cumsum(size[rows] ** 2)[ent_row[curv] - rows[0]]
+            hv = np.insert((v[a] * v[b]) / d2[ent_row[a]], at,
+                           v[curv] / d[ent_row[curv]])
+            flat = np.insert(cols[a] * width + cols[b], at,
+                             cols[curv] * (width + 1))
+            np.add.at(H.reshape(-1), flat, hv)
         return acc
 
 
-def _coords_eval(coords, z):
-    """Local log-power vector and jacobian data for a period.
+@dataclass
+class TableEval:
+    """Every outage table at every period of one point.
 
-    coords entries: ('v', global_index) for a plain variable, or
-    ('a', cols, vals, c0) for log(c0 + vals @ z[cols]) affine-log
-    coordinates (eliminated user powers).  Returns (x, jac, curv) or
-    (None, None, None) when an affine argument is non-positive.
+    values[t, k] is table t in period k.  With derivatives, grads[t, k] and
+    hessians[t, k] are taken with respect to the period's own variables
+    z[idx[k]], chain rule and coordinate curvature included.
     """
-    L = len(coords)
-    x = np.empty(L)
-    jac = []
-    curv = []
-    for d, c in enumerate(coords):
-        if c[0] == "v":
-            x[d] = z[c[1]]
-            jac.append((np.array([c[1]]), np.array([1.0])))
-            curv.append(None)
-        else:
-            _, cols, vals, c0 = c
-            aff = c0 + vals @ z[cols]
-            if not aff > 0.0:
-                return None, None, None
-            x[d] = math.log(aff)
-            jac.append((cols, vals / aff))
-            curv.append((cols, -np.outer(vals, vals) / aff ** 2))
-    return x, jac, curv
+
+    values: np.ndarray               # (tables, K)
+    idx: np.ndarray                  # (K, V)
+    grads: np.ndarray = None         # (tables, K, V)
+    hessians: np.ndarray = None      # (tables, K, V, V)
+
+    def add_hessian(self, H, blocks):
+        """H[idx[k], idx[k]] += blocks[k] for every period k at once; the
+        periods own disjoint variables."""
+        H[self.idx[:, :, None], self.idx[:, None, :]] += blocks
 
 
-def _table_eval(table, coords, z, memo, order):
-    """Table value (order 0) or (value, local grad, local hess) at z."""
-    key = (id(table), id(coords), order)
-    if key in memo:
-        return memo[key]
-    x, jac, curv = _coords_eval(coords, z)
-    if x is None:
-        memo[key] = None
-        return None
-    if order == 0:
-        out = (float(table.value(x)),)
-    else:
-        v, g, Hl = table.value_grad_hess(x)
-        out = (v, g, Hl, jac, curv)
-    memo[key] = out
-    return out
+class OutageCons:
+    """Per-period outage constraints table(x_k) - thr <= 0, one row per
+    (period, table), periods outermost."""
 
+    soft_class = "outage"
 
-def _push_local_hess(g_loc, H_loc, jac, curv, weight, H):
-    """Accumulate weight * pullback Hessian into H.
+    def __init__(self, n, thr):
+        self.n = n
+        self.thr = float(thr)
 
-    Pullback of a local Hessian through the coordinate map, plus the
-    coordinate curvature weighted by the local gradient.  The pulled-back
-    gradient itself is handled by the callers via _sparse_grad.
-    """
-    L = len(jac)
-    for d in range(L):
-        cols_d, vals_d = jac[d]
-        if curv[d] is not None:
-            cc, cm = curv[d]
-            H[np.ix_(cc, cc)] += weight * g_loc[d] * cm
-        for e in range(L):
-            cols_e, vals_e = jac[e]
-            H[np.ix_(cols_d, cols_e)] += (weight * H_loc[d, e]) * np.outer(
-                vals_d, vals_e)
+    def values(self, ev):
+        if ev is None:
+            return np.full(self.n, INF)
+        return (ev.values - self.thr).T.ravel()
 
+    def phi(self, ev, soft=None):
+        if ev is None:
+            return INF
+        return _log_barrier(_denom(self.values(ev), soft))
 
-def _sparse_grad(g_loc, jac):
-    """Combined sparse gradient of the posynomial: (unique cols, vals).
-
-    Different local coordinates may touch the same variable (two budgets
-    share each transfer), so duplicates are merged before callers use the
-    result in fancy-indexed accumulation.
-    """
-    parts_c = []
-    parts_v = []
-    for d in range(len(jac)):
-        cols_d, vals_d = jac[d]
-        parts_c.append(cols_d)
-        parts_v.append(g_loc[d] * vals_d)
-    cols = np.concatenate(parts_c)
-    vals = np.concatenate(parts_v)
-    ucols, inverse = np.unique(cols, return_inverse=True)
-    if ucols.size == cols.size:
-        return cols, vals
-    uvals = np.zeros(ucols.size)
-    np.add.at(uvals, inverse, vals)
-    return ucols, uvals
-
-
-class PosyCons:
-    """Per-period posynomial outage constraints table(x_k) - thr <= 0."""
-
-    def __init__(self, items, soft_class="outage"):
-        # items: list of (table, coords, thr)
-        self.items = items
-        self.n = len(items)
-        self.soft_class = soft_class
-
-    def values(self, z, memo=None):
-        memo = {} if memo is None else memo
-        out = np.empty(self.n)
-        for idx, (table, coords, thr) in enumerate(self.items):
-            res = _table_eval(table, coords, z, memo, 0)
-            out[idx] = INF if res is None else res[0] - thr
-        return out
-
-    def phi(self, z, soft=None, memo=None):
-        memo = {} if memo is None else memo
-        acc = 0.0
-        for table, coords, thr in self.items:
-            res = _table_eval(table, coords, z, memo, 0)
-            if res is None:
-                return INF
-            d = _denom(res[0] - thr, soft)
-            if not d > 0.0:
-                return INF
-            acc -= math.log(d)
-        return acc
-
-    def barrier(self, z, grad, H, soft=None, memo=None):
-        memo = {} if memo is None else memo
-        acc = 0.0
-        for table, coords, thr in self.items:
-            res = _table_eval(table, coords, z, memo, 2)
-            if res is None:
-                return INF
-            v, g_loc, H_loc, jac, curv = res
-            d = _denom(v - thr, soft)
-            if not d > 0.0:
-                return INF
-            acc -= math.log(d)
-            cols, vals = _sparse_grad(g_loc, jac)
+    def barrier(self, ev, grad, H, soft=None):
+        if ev is None:
+            return INF
+        d = _denom(ev.values - self.thr, soft)
+        acc = _log_barrier(d.T.ravel())
+        if not np.isfinite(acc):
+            return INF
+        d2 = _squares(d)
+        for g_t, h_t, d_t, d2_t in zip(ev.grads, ev.hessians, d, d2):
+            d_t, d2_t = d_t[:, None], d2_t[:, None]
+            grad[ev.idx] += g_t / d_t
+            ev.add_hessian(H, (g_t[:, :, None] * g_t[:, None, :])
+                           / d2_t[:, :, None])
+            ev.add_hessian(H, (1.0 / d_t)[:, :, None] * h_t)
             if soft is not None:
-                cols = np.append(cols, soft[1])
-                vals = np.append(vals, -soft[2])
-            grad[cols] += vals / d
-            H[np.ix_(cols, cols)] += np.outer(vals, vals) / d ** 2
-            _push_local_hess(g_loc, H_loc, jac, curv, 1.0 / d, H)
+                cross = (g_t * -soft[2]) / d2_t
+                H[ev.idx, soft[1]] += cross
+                H[soft[1], ev.idx] += cross
+        if soft is not None:
+            # the slack entries are shared by every row: add in row order
+            at = np.full(d.size, soft[1])
+            np.add.at(grad, at, -soft[2] / d.T.ravel())
+            np.add.at(H, (at, at), soft[2] * soft[2] / d2.T.ravel())
         return acc
 
 
@@ -417,43 +386,40 @@ class Objective:
     """Normalized inner objective (outage bits + q * energy) / scale.
 
     Carries the pieces separately so the Dinkelbach update can read the
-    unscaled numerator and denominator at any point.
+    unscaled numerator and denominator at any point.  Outage enters through
+    a TableEval shared with the outage constraints.
     """
 
-    def __init__(self, scale, posy_items, exp_idx, exp_base,
+    def __init__(self, scale, table_bits, exp_idx, exp_base,
                  lin_cols, lin_vals, energy_const):
         self.scale = float(scale)                 # M*K*alpha0*T, bits
-        self.posy_items = posy_items              # (table, coords, w_bits)
+        self.table_bits = np.asarray(table_bits, dtype=float)  # per table
         self.exp_idx = np.asarray(exp_idx, dtype=int)
         self.exp_base = np.asarray(exp_base, dtype=float)   # J per exp(z)
         self.lin_cols = np.asarray(lin_cols, dtype=int)
         self.lin_vals = np.asarray(lin_vals, dtype=float)   # J per unit z
         self.energy_const = float(energy_const)             # J
 
-    def energy_and_bits(self, z, memo=None):
+    def energy_and_bits(self, z, ev):
         """(total energy in J, expected delivered bits) at z."""
-        memo = {} if memo is None else memo
         with np.errstate(over="ignore"):
             energy = float(self.exp_base @ np.exp(z[self.exp_idx]))
         if self.lin_cols.size:
             energy += float(self.lin_vals @ z[self.lin_cols])
         energy += self.energy_const
-        lost_bits = 0.0
-        for table, coords, w_bits in self.posy_items:
-            res = _table_eval(table, coords, z, memo, 0)
-            if res is None:
-                return energy, -INF
-            lost_bits += w_bits * res[0]
-        return energy, self.scale - lost_bits
+        if ev is None:
+            return energy, -INF
+        lost = _sum_in_order(
+            0.0, (self.table_bits[:, None] * ev.values).T.ravel())
+        return energy, self.scale - lost
 
-    def value(self, z, q, memo=None):
-        energy, bits = self.energy_and_bits(z, memo)
+    def value(self, z, q, ev):
+        energy, bits = self.energy_and_bits(z, ev)
         if not np.isfinite(bits):
             return INF
         return ((self.scale - bits) + q * energy) / self.scale
 
-    def fgh(self, z, q, memo=None):
-        memo = {} if memo is None else memo
+    def fgh(self, z, q, ev):
         D = z.shape[0]
         grad = np.zeros(D)
         H = np.zeros((D, D))
@@ -466,16 +432,13 @@ class Objective:
         np.add.at(grad, self.exp_idx, q * e / self.scale)
         np.add.at(H, (self.exp_idx, self.exp_idx), q * e / self.scale)
         f /= self.scale
-        for table, coords, w_bits in self.posy_items:
-            res = _table_eval(table, coords, z, memo, 2)
-            if res is None:
-                return INF, grad, H
-            v, g_loc, H_loc, jac, curv = res
-            w = w_bits / self.scale
-            f += w * v
-            cols, vals = _sparse_grad(g_loc, jac)
-            grad[cols] += w * vals
-            _push_local_hess(g_loc, H_loc, jac, curv, w, H)
+        if ev is None:
+            return INF, grad, H
+        w = self.table_bits / self.scale
+        f = _sum_in_order(f, (w[:, None] * ev.values).T.ravel())
+        for w_t, g_t, h_t in zip(w, ev.grads, ev.hessians):
+            grad[ev.idx] += w_t * g_t
+            ev.add_hessian(H, w_t * h_t)
         return f, grad, H
 
 
@@ -484,7 +447,13 @@ class Objective:
 
 
 class EEProblem:
-    """One convex inner problem: layout, constraint blocks, objective."""
+    """One convex inner problem: layout, constraint blocks, objective.
+
+    Period k sees the outage tables through its log powers x_k, users then
+    relays.  In the standard variant these are plain variables.  The
+    depleted variant eliminates user powers: x_k[i] is the log of the
+    period budget over T, c0[i, k] + A[i] @ (transfers of period k).
+    """
 
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
                  options: SolverOptions, *, threshold: float,
@@ -511,42 +480,18 @@ class EEProblem:
             tables_weights = ([combined], [float(M)])
         self.tables, self.table_weights = tables_weights
 
-        # Per-period coordinate descriptors: M user dims then N relay dims.
         arrivals0 = config.arrivals.copy()
         arrivals0[:, 0] += config.Eu_0
-        self.budget_rows = None
-        coords_per_k = []
         if depleted:
-            # user power eliminated: p[i,k] * T = per-period budget
-            self.budget_rows = {}
-            for k in range(K):
-                coords = []
-                for i in range(M):
-                    cols, vals = [], []
-                    for j in range(M):
-                        if j == i:
-                            continue
-                        if (j, i) in lay.pair_idx:
-                            cols.append(lay.pair_idx[(j, i)][k])
-                            vals.append(config.eta / T)
-                        if (i, j) in lay.pair_idx:
-                            cols.append(lay.pair_idx[(i, j)][k])
-                            vals.append(-1.0 / T)
-                    cols = np.asarray(cols, dtype=int)
-                    vals = np.asarray(vals, dtype=float)
-                    c0 = arrivals0[i, k] / T
-                    coords.append(("a", cols, vals, c0))
-                    self.budget_rows[(i, k)] = (cols, vals, c0)
-                for j in range(N):
-                    coords.append(("v", int(lay.relay_idx[j, k])))
-                coords_per_k.append(tuple(coords))
+            # pair (i, j) takes 1/T from user i's budget, gives eta/T to j
+            self.budget_c0 = arrivals0 / T
+            self.budget_A = np.zeros((M, lay.pair_mat.shape[0]))
+            for p, (i, j) in enumerate(lay.pair_idx):
+                self.budget_A[i, p] = -1.0 / T
+                self.budget_A[j, p] = config.eta / T
+            self.period_idx = np.vstack([lay.pair_mat, lay.relay_idx]).T
         else:
-            for k in range(K):
-                coords = tuple(
-                    [("v", int(lay.user_idx[i, k])) for i in range(M)]
-                    + [("v", int(lay.relay_idx[j, k])) for j in range(N)])
-                coords_per_k.append(coords)
-        self.coords_per_k = coords_per_k
+            self.period_idx = np.vstack([lay.user_idx, lay.relay_idx]).T
 
         # Bounds: log-power boxes and transfer boxes.
         lo, hi = math.log(options.p_min), math.log(config.p_max)
@@ -566,11 +511,12 @@ class EEProblem:
                 b += [self.e_cap, 0.0]
         self.bounds = Bounds(idx, sign, b)
 
-        blocks = []
-        # Causality (standard variant only; the depleted equality makes the
-        # cumulative constraint hold automatically).
+        rows = []
+        lin_cols, lin_vals = [], []
         if not depleted:
-            rows = []
+            # Cumulative causality, one row per (user, period): spending
+            # and net transfers through period k within arrivals through k.
+            # The depleted equality makes it hold automatically.
             for i in range(M):
                 for k in range(K):
                     ei = lay.user_idx[i, :k + 1]
@@ -587,54 +533,43 @@ class EEProblem:
                             lv += [-config.eta] * (k + 1)
                     rhs = float(arrivals0[i, :k + 1].sum())
                     rows.append((ei, ec, lc, lv, rhs))
-            self.causality = CausalityCons(rows, soft_class="causality")
-            blocks.append(self.causality)
+            self.energy_rows = EnergyRows(rows, soft_class="causality")
         else:
             # eliminated powers must stay inside the power box
-            rows = []
-            for (i, k), (cols, vals, c0) in self.budget_rows.items():
-                # budget/T >= p_min  ->  -vals @ z <= c0 - p_min
-                rows.append((cols, -vals, c0 - options.p_min))
-                # budget/T <= p_max  ->  vals @ z <= p_max - c0
-                rows.append((cols, vals, config.p_max - c0))
-            self.budget_cons = LinearCons(rows, soft_class="power_budget")
-            blocks.append(self.budget_cons)
+            for k in range(K):
+                for i in range(M):
+                    nz = np.flatnonzero(self.budget_A[i])
+                    cols, vals = lay.pair_mat[nz, k], self.budget_A[i, nz]
+                    c0 = self.budget_c0[i, k]
+                    # budget/T >= p_min  ->  -vals @ z <= c0 - p_min
+                    rows.append(((), (), cols, -vals, c0 - options.p_min))
+                    # budget/T <= p_max  ->  vals @ z <= p_max - c0
+                    rows.append(((), (), cols, vals, config.p_max - c0))
+                    # user energy = sum of budgets: linear in transfers
+                    lin_cols += list(cols)
+                    lin_vals += list(vals * T)
+            self.energy_rows = EnergyRows(rows, soft_class="power_budget")
 
         # Outage constraints: every table of every period under threshold.
-        items = []
-        for k in range(K):
-            for table in self.tables:
-                items.append((table, coords_per_k[k], self.threshold))
-        self.outage_cons = PosyCons(items, soft_class="outage")
-        blocks.append(self.outage_cons)
-        self.blocks = blocks
-        self.n_con = self.bounds.n + sum(blk.n for blk in blocks)
+        self.outage_cons = OutageCons(K * len(self.tables), self.threshold)
+        self.n_con = self.bounds.n + self.energy_rows.n + self.outage_cons.n
 
         # Objective pieces.
         scale = M * K * config.alpha0 * T
-        posy_items = []
-        for k in range(K):
-            for table, w in zip(self.tables, self.table_weights):
-                posy_items.append((table, coords_per_k[k],
-                                   config.alpha0 * T * w))
         exp_idx = list(lay.relay_idx.ravel())
         exp_base = [T * self.relay_slot_factor] * (N * K)
-        lin_cols, lin_vals = [], []
         energy_const = 0.0
         if depleted:
-            # user energy = sum of budgets: constant + linear in transfers
             energy_const += float(arrivals0.sum())
-            for (i, k), (cols, vals, _c0) in self.budget_rows.items():
-                lin_cols += list(cols)
-                lin_vals += list(vals * T)
         else:
             exp_idx += list(lay.user_idx.ravel())
             exp_base += [T] * (M * K)
         for pidx in lay.pair_idx.values():
             lin_cols += list(pidx)
             lin_vals += [1.0 - config.eta] * K
-        self.objective = Objective(scale, posy_items, exp_idx, exp_base,
-                                   lin_cols, lin_vals, energy_const)
+        self.objective = Objective(
+            scale, [config.alpha0 * T * w for w in self.table_weights],
+            exp_idx, exp_base, lin_cols, lin_vals, energy_const)
         self.scale = scale
 
         # phase-1 scaling per soft class
@@ -646,9 +581,83 @@ class EEProblem:
 
     # -- evaluation helpers -------------------------------------------------
 
+    def budgets(self, z):
+        """Depleted variant: eliminated user powers (M, K), budget / T."""
+        return self.budget_c0 + self.budget_A @ z[self.layout.pair_mat]
+
+    def tables_at(self, z, derivs=False):
+        """Every outage table at every period of z, as one TableEval.
+
+        Returns None when a depleted budget is not positive, which puts z
+        outside the domain of the log coordinates.
+        """
+        x_relay = z[self.layout.relay_idx]
+        if self.depleted:
+            u = self.budgets(z)
+            if not np.all(u > 0.0):
+                return None
+            x = np.vstack([np.log(u), x_relay])
+        else:
+            x = z[self.period_idx.T]
+        if not derivs:
+            return TableEval(np.array([tb.value(x) for tb in self.tables]),
+                             self.period_idx)
+        parts = [tb.value_grad_hess(x) for tb in self.tables]
+        grads = np.stack([p[1].T for p in parts])
+        hessians = np.stack([p[2] for p in parts])
+        if self.depleted:
+            grads, hessians = self._pull_back_budgets(u, grads, hessians)
+        return TableEval(np.array([p[0] for p in parts]), self.period_idx,
+                         grads, hessians)
+
+    def _pull_back_budgets(self, u, grads, hessians):
+        """Derivatives in (log budget, relay) coordinates, taken to the
+        period's (transfer, relay) variables.
+
+        x_i = log(c0_i + A_i @ e) has Jacobian J_ip = A_ip / u_i and
+        curvature -J_ip J_iq, so the user block of the Hessian maps to
+        J^T (H_uu - diag(g_u)) J.
+        """
+        M = self.config.M
+        J = self.budget_A / u.T[:, :, None]                 # (K, M, P)
+        Jt = J.swapaxes(-1, -2)
+        g_u, g_r = grads[..., :M], grads[..., M:]
+        H_uu, H_ur = hessians[..., :M, :M], hessians[..., :M, M:]
+        H_pr = Jt @ H_ur
+        return (np.concatenate([(g_u[..., None, :] @ J)[..., 0, :], g_r],
+                               axis=-1),
+                np.block([[Jt @ (H_uu - g_u[..., None] * np.eye(M)) @ J,
+                           H_pr],
+                          [H_pr.swapaxes(-1, -2), hessians[..., M:, M:]]]))
+
+    def _blocks(self, z, ev, sig):
+        """(block, argument, soft) for the energy rows, which read z, and
+        the outage block, which reads the shared TableEval ev; sig (class
+        -> scale) softens both with the slack z[-1]."""
+        for blk, at in ((self.energy_rows, z), (self.outage_cons, ev)):
+            yield blk, at, None if sig is None else \
+                (z[-1], z.size - 1, sig[blk.soft_class])
+
+    def _blocks_barrier(self, z, ev, f, grad, H, sig=None):
+        """f plus the block barriers, derivatives added to grad and H."""
+        for blk, at, soft in self._blocks(z, ev, sig):
+            phi = blk.barrier(at, grad, H, soft)
+            if not np.isfinite(phi):
+                return INF
+            f += phi
+        return f
+
+    def _blocks_phi(self, z, ev, f, sig=None):
+        for blk, at, soft in self._blocks(z, ev, sig):
+            phi = blk.phi(at, soft)
+            if not np.isfinite(phi):
+                return INF
+            f += phi
+        return f
+
     def barrier_fgh(self, z, q, t):
-        memo = {}
-        f, grad, H = self.objective.fgh(z, q, memo)
+        ev = self.tables_at(z, derivs=True)
+        f, grad, H = self.objective.fgh(z, q, ev)
         if not np.isfinite(f):
             return INF, grad, H
         f *= t
@@ -657,47 +666,53 @@ class EEProblem:
         phi = self.bounds.barrier(z, grad, H)
         if not np.isfinite(phi):
             return INF, grad, H
-        f += phi
-        for blk in self.blocks:
-            kwargs = {"memo": memo} if isinstance(blk, PosyCons) else {}
-            phi = blk.barrier(z, grad, H, None, **kwargs)
-            if not np.isfinite(phi):
-                return INF, grad, H
-            f += phi
-        return f, grad, H
+        return self._blocks_barrier(z, ev, f + phi, grad, H), grad, H
 
     def barrier_value(self, z, q, t):
-        memo = {}
-        f = self.objective.value(z, q, memo)
+        ev = self.tables_at(z)
+        f = self.objective.value(z, q, ev)
         if not np.isfinite(f):
             return INF
         f *= t
         phi = self.bounds.phi(z)
         if not np.isfinite(phi):
             return INF
-        f += phi
-        for blk in self.blocks:
-            kwargs = {"memo": memo} if isinstance(blk, PosyCons) else {}
-            phi = blk.phi(z, None, **kwargs)
-            if not np.isfinite(phi):
-                return INF
-            f += phi
-        return f
+        return self._blocks_phi(z, ev, f + phi)
+
+    def soft_barrier_fgh(self, zs, t, sig):
+        """Phase-1 barrier t * s + phi(z, s) at zs = [z, s], with its
+        derivatives; sig scales the slack per constraint class."""
+        grad = np.zeros(zs.size)
+        H = np.zeros((zs.size, zs.size))
+        grad[-1] = t
+        phi = self.bounds.barrier(zs, grad, H)
+        if not np.isfinite(phi):
+            return INF, grad, H
+        f = self._blocks_barrier(zs, self.tables_at(zs, derivs=True),
+                                 t * zs[-1] + phi, grad, H, sig)
+        return f, grad, H
+
+    def soft_barrier_value(self, zs, t, sig):
+        phi = self.bounds.phi(zs)
+        if not np.isfinite(phi):
+            return INF
+        return self._blocks_phi(zs, self.tables_at(zs), t * zs[-1] + phi,
+                                sig)
+
+    def constraint_values(self, z):
+        """(soft class, g) per constraint block; g < 0 is strictly inside."""
+        return [(self.energy_rows.soft_class, self.energy_rows.values(z)),
+                (self.outage_cons.soft_class,
+                 self.outage_cons.values(self.tables_at(z)))]
 
     def strictly_feasible(self, z) -> bool:
         if np.any(self.bounds.values(z) >= 0.0):
             return False
-        for blk in self.blocks:
-            if np.any(blk.values(z) >= 0.0):
-                return False
-        return True
+        return not any(np.any(g >= 0.0) for _, g in self.constraint_values(z))
 
     def soft_values_scaled(self, z):
-        vals = []
-        for blk in self.blocks:
-            sigma = self.soft_sigma[blk.soft_class]
-            vals.append(blk.values(z) / sigma)
-        return np.concatenate(vals) if vals else np.zeros(0)
+        return np.concatenate([g / self.soft_sigma[cls]
+                               for cls, g in self.constraint_values(z)])
 
     def _uniform_outage_level(self):
         """Log power level at which every outage posynomial sits at half
@@ -831,9 +846,7 @@ class EEProblem:
         E = lay.transfer_array(z)
         p_r = np.exp(z[lay.relay_idx])
         if self.depleted:
-            p_u = np.empty((cfg.M, cfg.K))
-            for (i, k), (cols, vals, c0) in self.budget_rows.items():
-                p_u[i, k] = c0 + (vals @ z[cols] if cols.size else 0.0)
+            p_u = self.budgets(z)
         else:
             p_u = np.exp(z[lay.user_idx])
         return Policy(p_u=p_u, p_r=p_r, transfers=E)
@@ -929,8 +942,8 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
         if problem.n_con / t <= options.kkt_tol:
             break
         t *= options.barrier_mu
-    memo = {}
-    return InnerResult(z=z, v_prime_norm=problem.objective.value(z, q, memo),
+    return InnerResult(z=z, v_prime_norm=problem.objective.value(
+                           z, q, problem.tables_at(z)),
                        newton_iters=total, t_final=t)
 
 
@@ -951,16 +964,14 @@ def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
     # scaled slack O(1).  The sign of s, hence feasibility and the
     # certificate, does not depend on the sigmas.
     sig = dict(problem.soft_sigma)
-    for blk in problem.blocks:
-        raw = float(np.max(blk.values(z)))
+    blocks = problem.constraint_values(z)
+    for cls, g in blocks:
+        raw = float(np.max(g))
         if np.isfinite(raw):
-            sig[blk.soft_class] = max(sig[blk.soft_class], raw)
-    svals = np.concatenate(
-        [blk.values(z) / sig[blk.soft_class] for blk in problem.blocks]) \
-        if problem.blocks else np.zeros(0)
-    if svals.size == 0 or float(svals.max()) < -options.phase1_margin:
+            sig[cls] = max(sig[cls], raw)
+    svals = np.concatenate([g / sig[cls] for cls, g in blocks])
+    if float(svals.max()) < -options.phase1_margin:
         return z
-    D = problem.layout.dim
     # the slack must exceed the worst violation by more than one ULP,
     # or the barrier evaluates ln(0) when violations are huge
     worst = float(svals.max())
@@ -970,50 +981,14 @@ def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
     # bounds included, not just the softened rows
     n_ph1 = problem.n_con
 
-    def fgh(t):
-        def inner(zz):
-            grad = np.zeros(D + 1)
-            H = np.zeros((D + 1, D + 1))
-            f = t * zz[-1]
-            grad[-1] = t
-            phi = problem.bounds.barrier(zz, grad, H)
-            if not np.isfinite(phi):
-                return INF, grad, H
-            f += phi
-            memo = {}
-            for blk in problem.blocks:
-                soft = (zz[-1], D, sig[blk.soft_class])
-                kwargs = {"memo": memo} if isinstance(blk, PosyCons) else {}
-                phi = blk.barrier(zz, grad, H, soft, **kwargs)
-                if not np.isfinite(phi):
-                    return INF, grad, H
-                f += phi
-            return f, grad, H
-        return inner
-
-    def value(t):
-        def inner(zz):
-            f = t * zz[-1]
-            phi = problem.bounds.phi(zz)
-            if not np.isfinite(phi):
-                return INF
-            f += phi
-            memo = {}
-            for blk in problem.blocks:
-                soft = (zz[-1], D, sig[blk.soft_class])
-                kwargs = {"memo": memo} if isinstance(blk, PosyCons) else {}
-                phi = blk.phi(zz, soft, **kwargs)
-                if not np.isfinite(phi):
-                    return INF
-                f += phi
-            return f
-        return inner
-
     t = 1.0
     any_converged = False
     for _stage in range(24):
-        zs, _it, conv = _damped_newton(zs, fgh(t), value(t),
-                                       options.newton_tol, options.max_newton)
+        zs, _it, conv = _damped_newton(
+            zs,
+            lambda zz: problem.soft_barrier_fgh(zz, t, sig),
+            lambda zz: problem.soft_barrier_value(zz, t, sig),
+            options.newton_tol, options.max_newton)
         any_converged = any_converged or conv
         s = zs[-1]
         if s < -options.phase1_margin:
@@ -1033,12 +1008,11 @@ def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
         raise RuntimeError("phase 1 stalled: no barrier stage converged, "
                            "so feasibility could not be decided")
     # infeasible (or no strict interior): identify the binding class
-    zfin = zs[:-1]
     worst_class, worst_val = "outage", -INF
-    for blk in problem.blocks:
-        v = float(np.max(blk.values(zfin) / sig[blk.soft_class]))
+    for cls, g in problem.constraint_values(zs[:-1]):
+        v = float(np.max(g / sig[cls]))
         if v > worst_val:
-            worst_val, worst_class = v, blk.soft_class
+            worst_val, worst_class = v, cls
     raise InfeasibleError(worst_class,
                           f"phase-1 slack {zs[-1]:.3e} (scaled)")
 
@@ -1073,7 +1047,8 @@ def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
     z[lay.user_idx] = x_tilde[:config.M]
     z[lay.relay_idx] = x_tilde[config.M:]
     lay.pack_transfers(transfers, z)
-    f_norm, grad, H = problem.objective.fgh(z, q)
+    f_norm, grad, H = problem.objective.fgh(
+        z, q, problem.tables_at(z, derivs=True))
     value = f_norm * problem.scale
     grad = grad * problem.scale
     H = H * problem.scale
@@ -1209,7 +1184,8 @@ def dinkelbach_optimize(config: ScenarioConfig,
             return SolveResult(status="infeasible",
                                binding_class=err.binding_class,
                                threshold_internal=threshold)
-        energy, bits = problem.objective.energy_and_bits(z)
+        energy, bits = problem.objective.energy_and_bits(
+            z, problem.tables_at(z))
         q = max(bits, 0.0) / energy
         trace = []
         status = "max_iterations"
@@ -1217,7 +1193,8 @@ def dinkelbach_optimize(config: ScenarioConfig,
         for _outer in range(options.max_outer):
             res = inner_solve(problem, q, z, options)
             z = res.z
-            energy, bits = problem.objective.energy_and_bits(z)
+            energy, bits = problem.objective.energy_and_bits(
+                z, problem.tables_at(z))
             V = bits - q * energy
             trace.append((q, V, res.newton_iters))
             total_iters += res.newton_iters

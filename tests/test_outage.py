@@ -284,6 +284,28 @@ class TestMonomialTables:
         vec = rng.standard_normal(4)
         np.testing.assert_allclose(table.hvp(x, vec), H @ vec, rtol=1e-12)
 
+    def test_batched_periods_match_single_calls(self):
+        """A (M+N, K) call evaluates every period at once; column k equals
+        the (M+N,) call on column k bit for bit, so batching periods does
+        not change any rounding."""
+        rng = np.random.default_rng(41)
+        coeffs = LinkCoefficients(c_u=rng.uniform(1e-3, 1e-2, (2, 3)),
+                                  c_r=rng.uniform(1e-3, 1e-2, 3), m=1.5)
+        tA, tB = build_outage_tables(coeffs, 2, 3)
+        table = MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
+                              w=np.vstack([tA.w, tB.w]), M=2, N=3, m=1.5)
+        x = rng.uniform(-1.0, 3.0, size=(5, 7))
+        vals = table.value(x)
+        v, g, H = table.value_grad_hess(x)
+        assert vals.shape == v.shape == (7,)
+        assert g.shape == (5, 7) and H.shape == (7, 5, 5)
+        for k in range(7):
+            assert vals[k] == table.value(x[:, k])
+            v_k, g_k, H_k = table.value_grad_hess(x[:, k])
+            assert v[k] == v_k
+            np.testing.assert_array_equal(g[:, k], g_k)
+            np.testing.assert_array_equal(H[k], H_k)
+
 
 class TestNetworkOutageApprox:
     def test_matches_tables(self):

@@ -2,14 +2,21 @@
 outer loop, including a grid-search oracle for the smallest network."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eecoop.baselines import (
+    build_per_user_tables,
+    depleted_energy_policy,
+    nonc_df_policy,
+)
 from eecoop.model import (
     Policy,
     compute_link_coefficients,
     energy_ledger,
+    load_scenario,
     validate_policy,
 )
 from eecoop.outage import network_outage_exact_batch, network_outage_report
@@ -367,3 +374,133 @@ class TestAuditIntegration:
         res = dinkelbach_optimize(cfg)
         ledger = energy_ledger(cfg, res.policy)
         assert ledger.min_slack >= -1e-9
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "reference_m2n4.json"
+
+
+def _fd_check(fn_grad, fn_fd, z, scale, h):
+    """Compare an analytic derivative with central differences taken
+    along each scaled coordinate scale[j] * e_j."""
+    analytic = fn_grad(z)
+    fd = []
+    for j in range(z.size):
+        step = np.zeros(z.size)
+        step[j] = h * scale[j]
+        fd.append((fn_fd(z + step) - fn_fd(z - step)) / (2.0 * h))
+    return analytic, np.array(fd).T
+
+
+class TestBarrierAssembly:
+    """barrier_fgh against finite differences of barrier_value (gradient)
+    and of barrier_fgh's own gradient (Hessian), in every problem variant
+    and in the phase-1 form with the slack column."""
+
+    VARIANTS = {
+        "standard": {},
+        "no_transfer": {"transfers": False},
+        "depleted_transfers": {"depleted": True, "transfers": True},
+        "nonc_df": "per_user_tables",
+    }
+
+    @staticmethod
+    def scenario(name):
+        return solver_toy() if name == "toy" else load_scenario(REFERENCE)
+
+    def problem(self, cfg, variant):
+        coeffs = compute_link_coefficients(cfg)
+        kw = self.VARIANTS[variant]
+        if kw == "per_user_tables":
+            kw = {"tables_weights": (build_per_user_tables(
+                coeffs, cfg.M, cfg.N), [1.0] * cfg.M)}
+        return EEProblem(cfg, coeffs, SolverOptions(),
+                         threshold=cfg.pr_out_0, **kw)
+
+    @staticmethod
+    def coordinate_scale(prob, z):
+        """Unit steps on log powers; transfers sit near their zero bound,
+        so they step relative to their own size."""
+        scale = np.ones(z.size)
+        tr = prob.layout.pair_mat.ravel()
+        scale[tr] = z[tr]
+        return scale
+
+    def check(self, fgh, value, z, scale):
+        """The barrier is convex, so |H_ij| <= sqrt(H_ii H_jj): entries are
+        compared at the scale of their own rows and columns, which keeps
+        small blocks (transfers, the slack) visible next to large ones."""
+        f, g, H = fgh(z)
+        assert np.isfinite(f)
+        np.testing.assert_allclose(H, H.T, rtol=1e-12,
+                                   atol=1e-12 * np.abs(H).max())
+        H_s, fd_H = _fd_check(lambda zz: scale[:, None] * fgh(zz)[2]
+                              * scale[None, :],
+                              lambda zz: scale * fgh(zz)[1], z, scale, 1e-6)
+        root = np.sqrt(np.diag(H_s))
+        assert np.all(np.abs(H_s - fd_H)
+                      <= 1e-5 * (np.abs(H_s) + np.outer(root, root)))
+        g_s, fd_g = _fd_check(lambda zz: scale * fgh(zz)[1], value,
+                              z, scale, 1e-6)
+        assert np.all(np.abs(g_s - fd_g) <= 1e-5 * (np.abs(g_s) + root))
+
+    @pytest.mark.parametrize("scenario", ["toy", "reference"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_inner_barrier(self, scenario, variant):
+        cfg = self.scenario(scenario)
+        prob = self.problem(cfg, variant)
+        z = phase1(prob, prob.options)
+        energy, bits = prob.objective.energy_and_bits(z, prob.tables_at(z))
+        q, t = bits / energy, 30.0
+        self.check(lambda zz: prob.barrier_fgh(zz, q, t),
+                   lambda zz: prob.barrier_value(zz, q, t),
+                   z, self.coordinate_scale(prob, z))
+
+    @pytest.mark.parametrize("scenario", ["toy", "reference"])
+    def test_phase1_soft_barrier(self, scenario):
+        """The soft form adds the slack as a last column shared by every
+        causality and outage row."""
+        cfg = self.scenario(scenario)
+        prob = self.problem(cfg, "standard")
+        z = prob.initial_point()
+        zs = np.append(z, float(prob.soft_values_scaled(z).max()) + 0.5)
+        sig = prob.soft_sigma
+        scale = np.append(self.coordinate_scale(prob, z), 1.0)
+        self.check(lambda zz: prob.soft_barrier_fgh(zz, 3.0, sig),
+                   lambda zz: prob.soft_barrier_value(zz, 3.0, sig),
+                   zs, scale)
+
+
+class TestReferencePin:
+    """Iterate-path pin on the bundled scenario.
+
+    Newton counts depend on last-bit rounding: the line search compares
+    barrier values at the resolution of a double once the barrier
+    parameter is large, and summing the exponential terms of every
+    causality row in reverse order moves the reference solve from 145 to
+    147 Newton iterations.  A change to the barrier assembly that keeps
+    these numbers kept every rounding.
+    Recorded with Python 3.11, NumPy 2.4.6 and SciPy 1.17.1 (OpenBLAS
+    SkylakeX kernels); another BLAS build or CPU may round differently and
+    need its own record.
+    """
+
+    PINS = {
+        "optimized": (dinkelbach_optimize, 145, 2, 119375.69334485181,
+                      119379.79473141617, 1e-4),
+        "depleted_energy": (depleted_energy_policy, 133, 2,
+                            52519.46459428261, 52521.99122509289, 1e-4),
+        "nonc_df": (nonc_df_policy, 144, 2, 29138.93125613207,
+                    29139.04772023083, 1e-4),
+    }
+
+    @pytest.mark.parametrize("method", list(PINS))
+    def test_reference_iterate_path(self, method):
+        solve, newton, outer, q_star, ee_exact, threshold = self.PINS[method]
+        res = solve(load_scenario(REFERENCE))
+        assert res.status == "converged"
+        assert res.newton_iters_total == newton
+        assert len(res.trace) == outer
+        assert res.q_star == pytest.approx(q_star, rel=1e-9)
+        assert res.ee_exact == pytest.approx(ee_exact, rel=1e-9)
+        assert res.threshold_internal == pytest.approx(threshold, rel=1e-9)
