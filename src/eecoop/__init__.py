@@ -20,8 +20,6 @@ from .model import (
 from .outage import (
     OutageReport,
     MonomialTable,
-    SubsetTables,
-    subset_tables,
     per_link_outage_exact,
     per_link_outage_approx,
     relay_decode_prob,
@@ -29,7 +27,6 @@ from .outage import (
     network_outage_approx,
     network_outage_report,
     build_outage_tables,
-    outage_value_grad_hess,
 )
 from .solver import (
     SolverOptions,

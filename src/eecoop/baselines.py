@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from scipy.special import gammainc
 
 from .model import (
     OUTAGE_AUDIT_RTOL,
@@ -26,9 +27,9 @@ from .model import (
 )
 from .outage import (
     MonomialTable,
-    network_outage_exact_batch,
+    link_b_factors,
+    network_outage_exact,
     network_outage_report,
-    per_link_outage_exact,
 )
 from .solver import SolveResult, SolverOptions, dinkelbach_optimize
 
@@ -315,28 +316,14 @@ class BruteForceResult:
 def _per_link_pe_grids(config: ScenarioConfig, user_grids, relay_grids):
     """Exact per-link outage along each grid axis.
 
-    Returns pe_u[(i, k)] with shape (N, npts) on user i's period-k grid and
-    pe_r[(j, k)] with shape (npts,) on relay j's period-k grid.
+    Returns pe_u[i, j, k] with shape (npts,) for user i's link to relay j on
+    user i's period-k grid, and pe_r[j, k] with shape (npts,) on relay j's
+    period-k grid.
     """
-    M, N, K = config.M, config.N, config.K
-    pe_u = {}
-    for i in range(M):
-        for k in range(K):
-            g = user_grids[i][k]
-            pe_u[(i, k)] = np.stack([
-                np.array([per_link_outage_exact(
-                    float(p), m=config.m, alpha0=config.alpha0, B=config.B,
-                    N0=config.N0_h[i, j], d=config.d_h[i, j],
-                    beta=config.beta_h[i, j], omega=config.omega_h[i, j])
-                    for p in g]) for j in range(N)])
-    pe_r = {}
-    for j in range(N):
-        for k in range(K):
-            g = relay_grids[j][k]
-            pe_r[(j, k)] = np.array([per_link_outage_exact(
-                float(p), m=config.m, alpha0=config.alpha0, B=config.B,
-                N0=config.N0_g[j], d=config.d_g[j], beta=config.beta_g[j],
-                omega=config.omega_g[j]) for p in g])
+    f_u, f_r = link_b_factors(config)
+    pe_u = gammainc(config.m, f_u[:, :, None, None]
+                    / np.asarray(user_grids)[:, None])
+    pe_r = gammainc(config.m, f_r[:, None, None] / np.asarray(relay_grids))
     return pe_u, pe_r
 
 
@@ -452,13 +439,13 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
             for j in range(N):
                 rho_j = np.ones(())
                 for i in range(M):
-                    rho_j = rho_j * on_axis(1.0 - pe_u[(i, k)][j],
+                    rho_j = rho_j * on_axis(1.0 - pe_u[i, j, k],
                                             user_axis(i, k))
                 rho_list.append(np.broadcast_to(rho_j, shape))
                 per_list.append(np.broadcast_to(
-                    on_axis(pe_r[(j, k)], relay_axis(j, k)), shape))
-            out_k = network_outage_exact_batch(
-                np.stack(rho_list, axis=-1), np.stack(per_list, axis=-1), M)
+                    on_axis(pe_r[j, k], relay_axis(j, k)), shape))
+            out_k = network_outage_exact(np.stack(rho_list),
+                                         np.stack(per_list), M)[0]
             bits = bits + config.alpha0 * T * M * (1.0 - out_k)
             if enforce_outage:
                 out_ok = out_ok & (out_k <= config.pr_out_0

@@ -8,11 +8,14 @@ into two disjoint events:
   A: fewer than M relays decode all messages,
   B: at least M relays decode, but fewer than M of them forward successfully.
 
-The exact expressions enumerate relay subsets.  The approximate expressions
-replace every per-link outage with its dominant monomial c * p**(-m), drop
-factors that tend to one, and expand everything into a sum of monomials in
-the transmit powers.  That sum-of-exponentials form (in log-power
-coordinates) is what the convex solver consumes.
+The exact expressions come from one recursion over relays: relay by relay it
+updates the distribution of how many relays decode and how many of those
+forward, each count capped at M, so A and B are read off its states.  The
+approximate expressions replace every per-link outage with its dominant
+monomial c * p**(-m), drop factors that tend to one, and expand everything,
+relay subset by relay subset, into a sum of monomials in the transmit
+powers.  That sum-of-exponentials form (in log-power coordinates) is what
+the convex solver consumes.
 """
 
 from __future__ import annotations
@@ -27,42 +30,8 @@ from scipy.special import gammainc
 
 from .model import LinkCoefficients, Policy, ScenarioConfig, snr_gap
 
-# Exact subset enumeration is exponential in the number of relays.
-MAX_RELAYS_EXACT = 20
 # Guard on the expanded monomial table size for the approximate form.
 MAX_TABLE_TERMS = 2_000_000
-
-
-@dataclass(frozen=True)
-class SubsetTables:
-    """Precomputed relay-subset enumeration for one (M, N) pair.
-
-    phis[n] lists every n-subset of range(N).  psi_positions[n][tau] lists
-    every tau-subset of range(n) as positions into a size-n subset, so the
-    same template serves every decode set of that size.
-    """
-
-    M: int
-    N: int
-    phis: tuple        # phis[n] = tuple of index tuples, n = 0..N
-    psi_positions: tuple  # psi_positions[n][tau] = tuple of position tuples
-
-
-@lru_cache(maxsize=None)
-def subset_tables(M: int, N: int) -> SubsetTables:
-    if N > MAX_RELAYS_EXACT:
-        raise ValueError(
-            f"exact outage enumeration supports at most {MAX_RELAYS_EXACT} "
-            f"relays, got N={N}")
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be >= 1")
-    phis = tuple(tuple(combinations(range(N), n)) for n in range(N + 1))
-    psi = []
-    for n in range(N + 1):
-        per_tau = tuple(tuple(combinations(range(n), tau))
-                        for tau in range(min(M - 1, n) + 1))
-        psi.append(per_tau)
-    return SubsetTables(M=M, N=N, phis=phis, psi_positions=tuple(psi))
 
 
 def per_link_outage_exact(p: float, *, m: float, alpha0: float, B: float,
@@ -106,93 +75,46 @@ def relay_decode_prob(pe_user):
 
 
 def network_outage_exact(rho, pe_relay, M: int):
-    """Exact per-period network outage from relay statistics.
+    """Exact network outage from relay statistics, batched over periods.
 
     rho[j] is the probability relay j decodes all M messages, pe_relay[j]
-    the probability its forwarded codeword fails.  Returns
-    (pr_out, pr_A, pr_B).  Summation is compensated so that values far
-    below one keep full relative accuracy.
+    the probability its forwarded codeword fails; both have shape (N, ...)
+    with the relay on axis 0.  Returns (pr_out, pr_A, pr_B) over the
+    trailing axes.
+
+    Relays join one at a time the joint distribution of (decoders, relays
+    that decode and forward), each count capped at M; mass that reaches M
+    forwarders is delivered and dropped.  That is O(N M^2) per period, and
+    every state probability is a sum of products of probabilities, so
+    values far below one keep full relative accuracy.
     """
     rho = np.asarray(rho, dtype=float)
     pe_relay = np.asarray(pe_relay, dtype=float)
-    if rho.ndim != 1 or rho.shape != pe_relay.shape:
-        raise ValueError("rho and pe_relay must be 1-D with equal length")
+    if rho.ndim < 1 or rho.shape != pe_relay.shape:
+        raise ValueError("rho and pe_relay must share a shape (N, ...)")
     if np.any((rho < 0) | (rho > 1)) or np.any((pe_relay < 0) | (pe_relay > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    N = rho.shape[0]
-    tables = subset_tables(M, N)
-    one_minus_rho = 1.0 - rho
-    ok_fwd = 1.0 - pe_relay
-
-    terms_A = []
-    for n in range(0, min(M - 1, N) + 1):
-        for phi in tables.phis[n]:
-            term = 1.0
-            in_phi = np.zeros(N, dtype=bool)
-            for j in phi:
-                in_phi[j] = True
-            for j in range(N):
-                term *= rho[j] if in_phi[j] else one_minus_rho[j]
-            terms_A.append(term)
-    pr_A = math.fsum(terms_A)
-
-    terms_B = []
-    for n in range(M, N + 1):
-        for phi in tables.phis[n]:
-            in_phi = np.zeros(N, dtype=bool)
-            for j in phi:
-                in_phi[j] = True
-            first = 1.0
-            for j in range(N):
-                first *= rho[j] if in_phi[j] else one_minus_rho[j]
-            # Probability that fewer than M of the n decoders forward.
-            for tau in range(0, M):
-                for psi_pos in tables.psi_positions[n][tau]:
-                    second = 1.0
-                    psi_set = set(psi_pos)
-                    for pos, j in enumerate(phi):
-                        second *= ok_fwd[j] if pos in psi_set else pe_relay[j]
-                    terms_B.append(first * second)
-    pr_B = math.fsum(terms_B)
-    return pr_A + pr_B, pr_A, pr_B
-
-
-def network_outage_exact_batch(rho, pe_relay, M: int):
-    """Vectorized exact outage over leading batch axes.
-
-    rho and pe_relay have shape (..., N).  Returns pr_out with shape (...).
-    Used by grid oracles; the scalar routine above is the reference.
-    """
-    rho = np.asarray(rho, dtype=float)
-    pe_relay = np.asarray(pe_relay, dtype=float)
-    N = rho.shape[-1]
-    tables = subset_tables(M, N)
-    one_minus_rho = 1.0 - rho
-    ok_fwd = 1.0 - pe_relay
-
-    out = np.zeros(rho.shape[:-1])
-    for n in range(0, min(M - 1, N) + 1):
-        for phi in tables.phis[n]:
-            term = np.ones(rho.shape[:-1])
-            for j in range(N):
-                term = term * (rho[..., j] if j in phi else one_minus_rho[..., j])
-            out += term
-    for n in range(M, N + 1):
-        for phi in tables.phis[n]:
-            first = np.ones(rho.shape[:-1])
-            for j in range(N):
-                first = first * (rho[..., j] if j in phi else one_minus_rho[..., j])
-            fail_lt_M = np.zeros(rho.shape[:-1])
-            for tau in range(0, M):
-                for psi_pos in tables.psi_positions[n][tau]:
-                    second = np.ones(rho.shape[:-1])
-                    psi_set = set(psi_pos)
-                    for pos, j in enumerate(phi):
-                        second = second * (ok_fwd[..., j] if pos in psi_set
-                                           else pe_relay[..., j])
-                    fail_lt_M += second
-            out += first * fail_lt_M
-    return out
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    # P[d, f]: d decoders (d = M: at least M), f < M of them forward
+    P = np.zeros((M + 1, M) + rho.shape[1:])
+    P[0, 0] = 1.0
+    for r, e in zip(rho, pe_relay):
+        miss, dec, fwd = 1.0 - r, r * e, r * (1.0 - e)
+        # rows from the top down, so row d - 1 still holds the old values
+        for d in range(M, 0, -1):
+            row = P[d] * miss
+            row += P[d - 1] * dec
+            row[1:] += P[d - 1, :-1] * fwd
+            if d == M:  # at least M decoders stay at least M
+                row += P[M] * dec
+                row[1:] += P[M, :-1] * fwd
+            P[d] = row
+        P[0] *= miss
+    pr_A = P[:M].sum(axis=(0, 1))
+    pr_B = P[M].sum(axis=0)
+    # pr_A + pr_B <= 1 in exact arithmetic, not always once rounded
+    return np.minimum(pr_A + pr_B, 1.0), pr_A, pr_B
 
 
 @dataclass(frozen=True)
@@ -236,11 +158,6 @@ class MonomialTable:
             e = np.exp(self._exponents(x))
         return np.matmul(e[..., None, :], self.coef[:, None])[..., 0, 0]
 
-    def value_grad(self, x):
-        with np.errstate(over="ignore"):
-            t = self.coef * np.exp(self.w @ np.asarray(x, dtype=float))
-        return float(t.sum()), self.w.T @ t
-
     def value_grad_hess(self, x):
         """Value, gradient and Hessian at log powers x.
 
@@ -257,12 +174,6 @@ class MonomialTable:
         if t.ndim == 1:
             return float(t.sum()), grad, hess[0]
         return t.sum(axis=-1), grad.T, hess
-
-    def hvp(self, x, v):
-        """Hessian-vector product at log powers x."""
-        with np.errstate(over="ignore"):
-            t = self.coef * np.exp(self.w @ np.asarray(x, dtype=float))
-        return self.w.T @ (t * (self.w @ np.asarray(v, dtype=float)))
 
 
 def _merge_terms(rows: dict, M: int, N: int, m: float) -> MonomialTable:
@@ -284,8 +195,6 @@ def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
     c_u, c_r, m = coeffs.c_u, coeffs.c_r, coeffs.m
     if c_u.shape != (M, N) or c_r.shape != (N,):
         raise ValueError("link coefficient shapes do not match (M, N)")
-    tables = subset_tables(M, N)
-
     raw = 0
     for n in range(0, min(M - 1, N) + 1):
         raw += math.comb(N, n) * M ** (N - n)
@@ -313,7 +222,7 @@ def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
 
     rows_A = {}
     for n in range(0, min(M - 1, N) + 1):
-        for phi in tables.phis[n]:
+        for phi in combinations(range(N), n):
             others = [j for j in range(N) if j not in phi]
             for coef, u_counts in first_hop_terms(others):
                 key = u_counts + (0,) * N
@@ -321,11 +230,11 @@ def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
 
     rows_B = {}
     for n in range(M, N + 1):
-        for phi in tables.phis[n]:
+        for phi in combinations(range(N), n):
             others = [j for j in range(N) if j not in phi]
             second = []
             for tau in range(0, M):
-                for psi_pos in tables.psi_positions[n][tau]:
+                for psi_pos in combinations(range(n), tau):
                     psi_set = set(psi_pos)
                     coef2 = 1.0
                     r_counts = [0] * N
@@ -356,11 +265,13 @@ def outage_tables(coeffs: LinkCoefficients, M: int, N: int):
 
 
 def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):
-    """Approximate per-period network outage at powers p_u (M,), p_r (N,).
+    """Approximate network outage at powers p_u (M,), p_r (N,).
 
-    Returns (pr_out, pr_A, pr_B).  Values are the raw posynomials and may
-    exceed one outside the small-outage regime; they are deliberately not
-    clamped so that the solver sees the true monomial landscape.
+    Columns of p_u (M, K) and p_r (N, K) are periods, evaluated at once.
+    Returns (pr_out, pr_A, pr_B), one value per period.  Values are the raw
+    posynomials and may exceed one outside the small-outage regime; they
+    are deliberately not clamped so that the solver sees the true monomial
+    landscape.
     """
     p_u = np.asarray(p_u, dtype=float)
     p_r = np.asarray(p_r, dtype=float)
@@ -369,30 +280,9 @@ def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):
     M, N = coeffs.c_u.shape
     table_A, table_B = outage_tables(coeffs, M, N)
     x = np.log(np.concatenate([p_u, p_r]))
-    pr_A = float(table_A.value(x))
-    pr_B = float(table_B.value(x))
+    pr_A = table_A.value(x)
+    pr_B = table_B.value(x)
     return pr_A + pr_B, pr_A, pr_B
-
-
-def outage_value_grad_hess(x, coeffs: LinkCoefficients):
-    """Approximate outage as a function of log powers x = log [p_u, p_r].
-
-    Returns (value, gradient, hvp) where hvp(v) applies the Hessian.  The
-    Hessian is positive semidefinite because the value is a positively
-    weighted sum of exponentials of linear forms.
-    """
-    M, N = coeffs.c_u.shape
-    x = np.asarray(x, dtype=float)
-    if x.shape != (M + N,):
-        raise ValueError(f"x must have shape ({M + N},)")
-    table_A, table_B = outage_tables(coeffs, M, N)
-    vA, gA = table_A.value_grad(x)
-    vB, gB = table_B.value_grad(x)
-
-    def hvp(v):
-        return table_A.hvp(x, v) + table_B.hvp(x, v)
-
-    return vA + vB, gA + gB, hvp
 
 
 @dataclass
@@ -451,12 +341,7 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         b_r = np.divide(f_r[:, None], policy.p_r, out=np.full((N, K), np.inf),
                         where=on)
         pe_relay[on] = gammainc(config.m, b_r[on])
-        pr_out = np.empty(K)
-        pr_A = np.empty(K)
-        pr_B = np.empty(K)
-        for k in range(K):
-            pr_out[k], pr_A[k], pr_B[k] = network_outage_exact(
-                rho[:, k], pe_relay[:, k], M)
+        pr_out, pr_A, pr_B = network_outage_exact(rho, pe_relay, M)
         return OutageReport(mode="exact", pr_out=pr_out, pr_A=pr_A, pr_B=pr_B,
                             pe_user=pe_user, pe_relay=pe_relay, rho=rho)
 
@@ -470,12 +355,8 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         pe_user = coeffs.c_u[:, :, None] * policy.p_u[:, None, :] ** (-config.m)
         pe_relay = coeffs.c_r[:, None] * policy.p_r ** (-config.m)
         rho = np.prod(np.maximum(1.0 - pe_user, 0.0), axis=0)
-        pr_out = np.empty(K)
-        pr_A = np.empty(K)
-        pr_B = np.empty(K)
-        for k in range(K):
-            pr_out[k], pr_A[k], pr_B[k] = network_outage_approx(
-                policy.p_u[:, k], policy.p_r[:, k], coeffs)
+        pr_out, pr_A, pr_B = network_outage_approx(policy.p_u, policy.p_r,
+                                                   coeffs)
         return OutageReport(mode="approx", pr_out=pr_out, pr_A=pr_A,
                             pr_B=pr_B, pe_user=pe_user, pe_relay=pe_relay,
                             rho=rho)

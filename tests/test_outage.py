@@ -14,14 +14,11 @@ from eecoop.outage import (
     build_outage_tables,
     network_outage_approx,
     network_outage_exact,
-    network_outage_exact_batch,
     network_outage_report,
     outage_tables,
-    outage_value_grad_hess,
     per_link_outage_approx,
     per_link_outage_exact,
     relay_decode_prob,
-    subset_tables,
 )
 from helpers import make_config
 
@@ -65,16 +62,37 @@ def enumeration_oracle(pe_u, pe_r, M):
 
 
 class TestSubsetTables:
-    def test_counts(self):
-        t = subset_tables(2, 4)
-        assert [len(t.phis[n]) for n in range(5)] == [1, 4, 6, 4, 1]
-        # forwarding-success position templates among n decoders
-        assert len(t.psi_positions[3][0]) == 1
-        assert len(t.psi_positions[3][1]) == 3
+    """The relay-count recursion sums over relay subsets without listing
+    them."""
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            subset_tables(2, 64)
+    def test_counts(self):
+        """With every probability one half, outage times 2**N counts
+        subsets: decode sets of fewer than M of 4 relays (1, 4, 6, 4, 1
+        of each size) and forwarding sets of fewer than 2 among 3 certain
+        decoders (1 + 3)."""
+        half = np.full(4, 0.5)
+        for M, subsets in zip(range(1, 6), (1, 5, 11, 15, 16)):
+            _, pr_a, _ = network_outage_exact(half, np.zeros(4), M)
+            assert pr_a * 16 == subsets
+        _, pr_a, pr_b = network_outage_exact(np.ones(3), np.full(3, 0.5), 2)
+        assert pr_a == 0.0
+        assert pr_b * 8 == 1 + 3
+
+    def test_no_relay_cap(self):
+        """64 relays, far past what subset enumeration could list, against
+        the i.i.d. binomial closed form."""
+        N, M, r, e = 64, 3, 0.9, 0.05
+        pr_a = math.fsum(math.comb(N, n) * r ** n * (1 - r) ** (N - n)
+                         for n in range(M))
+        pr_b = math.fsum(
+            math.comb(N, n) * r ** n * (1 - r) ** (N - n)
+            * math.comb(n, t) * (1 - e) ** t * e ** (n - t)
+            for n in range(M, N + 1) for t in range(M))
+        out, got_a, got_b = network_outage_exact(np.full(N, r),
+                                                 np.full(N, e), M)
+        assert got_a == pytest.approx(pr_a, rel=1e-13)
+        assert got_b == pytest.approx(pr_b, rel=1e-13)
+        assert out == pytest.approx(pr_a + pr_b, rel=1e-13)
 
 
 class TestPerLinkOutage:
@@ -199,19 +217,39 @@ class TestNetworkOutageExact:
         assert pr_b == 0.0
 
     def test_batch_matches_scalar(self):
+        """Relays on axis 0, any trailing axes: each trailing index equals
+        the call on that column alone."""
         rng = np.random.default_rng(29)
-        rho = rng.uniform(0.0, 1.0, size=(6, 7, 3))
-        pe_r = rng.uniform(0.0, 1.0, size=(6, 7, 3))
-        batch = network_outage_exact_batch(rho, pe_r, 2)
-        assert batch.shape == (6, 7)
+        rho = rng.uniform(0.0, 1.0, size=(3, 6, 7))
+        pe_r = rng.uniform(0.0, 1.0, size=(3, 6, 7))
+        batch = network_outage_exact(rho, pe_r, 2)
+        for part in batch:
+            assert part.shape == (6, 7)
         for a in range(6):
             for b in range(7):
-                ref, _, _ = network_outage_exact(rho[a, b], pe_r[a, b], 2)
-                assert batch[a, b] == pytest.approx(ref, abs=1e-13)
+                ref = network_outage_exact(rho[:, a, b], pe_r[:, a, b], 2)
+                for part, want in zip(batch, ref):
+                    assert part[a, b] == pytest.approx(want, rel=1e-15,
+                                                       abs=0.0)
+
+    def test_certain_outage_stays_a_probability(self):
+        """With fewer relays than users pr_A holds all the mass, one up to
+        rounding, and pr_out must still not pass one."""
+        rng = np.random.default_rng(61)
+        rho = rng.uniform(0.0, 1.0, size=(2, 500))
+        pe_r = rng.uniform(0.0, 1.0, size=(2, 500))
+        out, _, pr_b = network_outage_exact(rho, pe_r, 3)
+        assert np.all(out <= 1.0)
+        np.testing.assert_allclose(out, 1.0, rtol=1e-15)
+        assert np.all(pr_b == 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             network_outage_exact(np.array([1.2]), np.array([0.1]), 1)
+        with pytest.raises(ValueError):
+            network_outage_exact(np.array([0.5]), np.array([0.1]), 0)
+        with pytest.raises(ValueError):
+            network_outage_exact(np.full(2, 0.5), np.full(3, 0.1), 1)
         with pytest.raises(ValueError):
             relay_decode_prob(np.array([[-0.1]]))
 
@@ -262,27 +300,34 @@ class TestMonomialTables:
         a2, b2 = outage_tables(coeffs, 2, 2)
         assert a1 is a2 and b1 is b2
 
-    def test_gradients_and_curvature(self):
+    @pytest.mark.parametrize("source", ["hand", "make_config"])
+    def test_gradients_and_curvature(self, source):
         """Pushforward derivatives match finite differences and the
         Hessian is positive semidefinite (sum of exponentials)."""
-        coeffs = self.hand_coeffs()
+        if source == "hand":
+            coeffs = self.hand_coeffs()
+        else:
+            coeffs = compute_link_coefficients(make_config())
         tA, tB = build_outage_tables(coeffs, 2, 2)
         table = MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
-                              w=np.vstack([tA.w, tB.w]), M=2, N=2, m=1.0)
+                              w=np.vstack([tA.w, tB.w]), M=2, N=2,
+                              m=coeffs.m)
         rng = np.random.default_rng(37)
         x = rng.uniform(-1.0, 2.0, size=4)
         v, g, H = table.value_grad_hess(x)
+        assert v == pytest.approx(table.value(x), rel=1e-14)
         eps = 1e-6
         for d in range(4):
             e = np.zeros(4)
             e[d] = eps
             fd = (table.value(x + e) - table.value(x - e)) / (2 * eps)
             assert g[d] == pytest.approx(fd, rel=1e-6)
+            _, g_plus, _ = table.value_grad_hess(x + e)
+            _, g_minus, _ = table.value_grad_hess(x - e)
+            np.testing.assert_allclose(H[:, d], (g_plus - g_minus) / (2 * eps),
+                                       rtol=1e-6, atol=1e-9 * abs(H).max())
         eig = np.linalg.eigvalsh(H)
         assert eig.min() >= -1e-12 * max(1.0, eig.max())
-        # hvp agrees with dense Hessian
-        vec = rng.standard_normal(4)
-        np.testing.assert_allclose(table.hvp(x, vec), H @ vec, rtol=1e-12)
 
     def test_batched_periods_match_single_calls(self):
         """A (M+N, K) call evaluates every period at once; column k equals
@@ -383,22 +428,6 @@ class TestNetworkOutageApprox:
             b = network_outage_report(cfg_swapped, pol_swapped,
                                       mode=mode).pr_out
             np.testing.assert_allclose(a, b, rtol=1e-13)
-
-    def test_value_grad_hess_fd(self):
-        cfg = make_config()
-        coeffs = compute_link_coefficients(cfg)
-        rng = np.random.default_rng(59)
-        x = rng.uniform(-0.5, 2.5, size=4)
-        val, grad, hvp = outage_value_grad_hess(x, coeffs)
-        eps = 1e-6
-        for d in range(4):
-            e = np.zeros(4)
-            e[d] = eps
-            vp, _, _ = outage_value_grad_hess(x + e, coeffs)
-            vm, _, _ = outage_value_grad_hess(x - e, coeffs)
-            assert grad[d] == pytest.approx((vp - vm) / (2 * eps), rel=1e-6)
-        v = rng.standard_normal(4)
-        assert float(v @ hvp(v)) >= -1e-12
 
 
 class TestOutageReport:

@@ -19,7 +19,7 @@ from eecoop.model import (
     load_scenario,
     validate_policy,
 )
-from eecoop.outage import network_outage_exact_batch, network_outage_report
+from eecoop.outage import network_outage_exact, network_outage_report
 from eecoop.solver import (
     EEProblem,
     InfeasibleError,
@@ -52,8 +52,7 @@ def grid_oracle_single_link(cfg, n=240, rounds=3):
         P, Q = np.meshgrid(p, q, indexing="ij")
         pe_u = -np.expm1(-cfg.m * factor_u / P)   # m = 1 in these toys
         pe_r = -np.expm1(-cfg.m * factor_r / Q)
-        out = network_outage_exact_batch((1.0 - pe_u)[..., None],
-                                         pe_r[..., None], 1)
+        out = network_outage_exact((1.0 - pe_u)[None], pe_r[None], 1)[0]
         ee = np.where(out <= cfg.pr_out_0,
                       cfg.alpha0 * (1.0 - out) / ((P + Q) * cfg.T), -np.inf)
         idx = np.unravel_index(np.argmax(ee), ee.shape)
