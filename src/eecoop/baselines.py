@@ -36,6 +36,9 @@ from .solver import SolveResult, SolverOptions, dinkelbach_optimize
 BASELINE_KINDS = ("depleted_energy", "no_transfer", "uniform_power",
                   "nonc_df")
 
+# grid-oracle cells evaluated at once (a block of first-axis rows)
+_MESH_SLICE_CELLS = 1 << 16
+
 
 @dataclass
 class PolicyEvaluation:
@@ -411,26 +414,16 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
     def relay_axis(j, k):
         return M * K + j * K + k
 
-    def on_axis(arr, ax):
+    def on_axis(arr, ax, rows):
+        if ax == 0:
+            arr = arr[rows]
         view = [1] * ndim
         view[ax] = arr.shape[-1]
         return arr.reshape(view)
 
-    best = None
-    best_ee = -np.inf
-    evaluations = 0
-    for _round in range(grid.refine_rounds):
-        user_grids = [[np.exp(np.linspace(math.log(lo_u[i, k]),
-                                          math.log(hi_u[i, k]), npts))
-                       for k in range(K)] for i in range(M)]
-        relay_grids = [[np.exp(np.linspace(math.log(lo_r[j, k]),
-                                           math.log(hi_r[j, k]), npts))
-                        for k in range(K)] for j in range(N)]
-        pe_u, pe_r = _per_link_pe_grids(config, user_grids, relay_grids)
-
-        shape = (npts,) * ndim
-        evaluations += int(np.prod(shape))
-
+    def mesh_ee(rows, pe_u, pe_r, user_grids, relay_grids, causal_ok, loss):
+        """EE over the mesh cells whose first-axis index is in rows."""
+        shape = (user_grids[0][0][rows].size,) + (npts,) * (ndim - 1)
         bits = np.zeros(())
         out_ok = np.ones((), dtype=bool)
         for k in range(K):
@@ -440,10 +433,10 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
                 rho_j = np.ones(())
                 for i in range(M):
                     rho_j = rho_j * on_axis(1.0 - pe_u[i, j, k],
-                                            user_axis(i, k))
+                                            user_axis(i, k), rows)
                 rho_list.append(np.broadcast_to(rho_j, shape))
                 per_list.append(np.broadcast_to(
-                    on_axis(pe_r[j, k], relay_axis(j, k)), shape))
+                    on_axis(pe_r[j, k], relay_axis(j, k), rows), shape))
             out_k = network_outage_exact(np.stack(rho_list),
                                          np.stack(per_list), M)[0]
             bits = bits + config.alpha0 * T * M * (1.0 - out_k)
@@ -455,28 +448,55 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
         for i in range(M):
             for k in range(K):
                 energy = energy + on_axis(user_grids[i][k] * T,
-                                          user_axis(i, k))
+                                          user_axis(i, k), rows)
         for j in range(N):
             for k in range(K):
                 energy = energy + on_axis(relay_grids[j][k] * T,
-                                          relay_axis(j, k))
-        causal_ok, loss = _completion_loss_grid(config, user_grids)
+                                          relay_axis(j, k), rows)
         lift = tuple([slice(None)] * (M * K) + [None] * (N * K))
-        energy = energy + loss[lift]
-        mask = np.broadcast_to(causal_ok[lift], shape) \
+        energy = energy + loss[rows][lift]
+        mask = np.broadcast_to(causal_ok[rows][lift], shape) \
             & np.broadcast_to(out_ok, shape)
+        return np.where(mask, bits / energy, -np.inf)
 
-        ee = np.where(mask, bits / energy, -np.inf)
-        idx = int(np.argmax(ee))
-        if not np.isfinite(ee.flat[idx]):
+    # the mesh is evaluated a block of first-axis rows at a time, so no
+    # per-cell array spans the whole mesh; rows ascend and only a strictly
+    # larger value replaces the round's best, which keeps argmax's
+    # first-index tie-breaking over the whole mesh
+    step = max(1, _MESH_SLICE_CELLS // npts ** (ndim - 1))
+    best = None
+    best_ee = -np.inf
+    evaluations = 0
+    for _round in range(grid.refine_rounds):
+        user_grids = [[np.exp(np.linspace(math.log(lo_u[i, k]),
+                                          math.log(hi_u[i, k]), npts))
+                       for k in range(K)] for i in range(M)]
+        relay_grids = [[np.exp(np.linspace(math.log(lo_r[j, k]),
+                                           math.log(hi_r[j, k]), npts))
+                        for k in range(K)] for j in range(N)]
+        pe_u, pe_r = _per_link_pe_grids(config, user_grids, relay_grids)
+        causal_ok, loss = _completion_loss_grid(config, user_grids)
+        evaluations += npts ** ndim
+
+        round_ee = -np.inf
+        multi = None
+        for start in range(0, npts, step):
+            rows = slice(start, start + step)
+            ee = mesh_ee(rows, pe_u, pe_r, user_grids, relay_grids,
+                         causal_ok, loss)
+            idx = int(np.argmax(ee))
+            if ee.flat[idx] > round_ee:
+                round_ee = float(ee.flat[idx])
+                multi = np.unravel_index(idx, ee.shape)
+                multi = (start + multi[0],) + multi[1:]
+        if not np.isfinite(round_ee):
             continue  # nothing feasible on this mesh; keep the same range
-        multi = np.unravel_index(idx, shape)
         cand_pu = np.array([[user_grids[i][k][multi[user_axis(i, k)]]
                              for k in range(K)] for i in range(M)])
         cand_pr = np.array([[relay_grids[j][k][multi[relay_axis(j, k)]]
                              for k in range(K)] for j in range(N)])
-        if ee.flat[idx] > best_ee:
-            best_ee = float(ee.flat[idx])
+        if round_ee > best_ee:
+            best_ee = round_ee
             best = (cand_pu, cand_pr)
 
         for i in range(M):

@@ -1,8 +1,10 @@
 """Channel-realization simulation for validating the outage analysis.
 
-Squared Nakagami-m envelopes are gamma variates, so each link draw is a
-single ``Generator.gamma`` call and a link succeeds when the received
-SNR clears the rate threshold:
+Squared Nakagami-m envelopes are gamma variates.  Each block of link
+draws is one ``Generator.standard_gamma`` call times the scale omega / m,
+bit for bit what ``Generator.gamma`` returns, and ``estimate_outage``
+writes every block into two buffers allocated once per call.  A link
+succeeds when the received SNR clears the rate threshold:
 
     B * log2(1 + gain * d**(-beta) * p / (N0 * B)) >= alpha0
     <=>  gain * d**(-beta) * p >= (2**(alpha0 / B) - 1) * N0 * B
@@ -68,13 +70,17 @@ def _as_generator(rng) -> np.random.Generator:
     raise ValueError("rng must be a Generator, RngSpec, or integer seed")
 
 
-def sample_channel_power_gain(omega, m, rng, size=None):
+def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     """Draw squared channel envelopes for Nakagami-m fading.
 
     Returns gamma variates with shape m and scale omega / m, so the mean
     gain is omega and the variance omega**2 / m.  omega may be an array;
-    it broadcasts against size.  rng may be a numpy Generator, an
-    RngSpec, or a plain integer seed.
+    it broadcasts against size, and without size (or out) the draws take
+    omega's shape.  rng may be a numpy Generator, an RngSpec, or a plain
+    integer seed.  out, a C-contiguous float array, receives the draws
+    and is returned.  The values and stream position equal those of
+    ``Generator.gamma(m, omega / m, size)`` bit for bit, since that is
+    the same standard gamma variate times the same scale.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
@@ -83,7 +89,11 @@ def sample_channel_power_gain(omega, m, rng, size=None):
     if not m >= 0.5:
         raise ValueError(f"m must be >= 0.5, got {m}")
     gen = _as_generator(rng)
-    return gen.gamma(shape=m, scale=omega / m, size=size)
+    if size is None and out is None:
+        size = omega.shape
+    draws = gen.standard_gamma(m, size=size, out=out)
+    draws *= omega / m
+    return draws
 
 
 @dataclass(frozen=True)
@@ -181,23 +191,32 @@ class MonteCarloResult:
     ee: float                # bits / e_tot
 
 
-def _tally_chunk(config, margins, gen, n, outage_count, decode_count):
-    """Simulate n trials of every period, accumulating integer counts.
+def _tally_chunk(config, margins, gen, gains_h, gains_g, outage_count,
+                 decode_count):
+    """Simulate len(gains_g) trials of every period, accumulating counts.
 
     Chunked counterpart of simulate_period: per period the draws are the
-    (n, M, N) first-hop block then the (n, N) second-hop block.
+    (n, M, N) first-hop block into gains_h then the (n, N) second-hop
+    block into gains_g, both overwritten in place.
     """
-    M = config.M
+    M, N = config.M, config.N
+    n = len(gains_g)
     for k, (margin_h, margin_g) in enumerate(margins):
-        gains_h = sample_channel_power_gain(config.omega_h, config.m, gen,
-                                            size=(n, config.M, config.N))
-        gains_g = sample_channel_power_gain(config.omega_g, config.m, gen,
-                                            size=(n, config.N))
-        decoded = np.all(gains_h * margin_h >= 1.0, axis=1)
-        forwarded = decoded & (gains_g * margin_g >= 1.0)
-        delivered = forwarded.sum(axis=1) >= M
-        outage_count[k] += int(n - delivered.sum())
-        decode_count[k] += decoded.sum(axis=0, dtype=np.int64)
+        sample_channel_power_gain(config.omega_h, config.m, gen, out=gains_h)
+        sample_channel_power_gain(config.omega_g, config.m, gen, out=gains_g)
+        gains_h *= margin_h
+        gains_g *= margin_g
+        decoded = gains_h[:, 0] >= 1.0
+        for i in range(1, M):
+            decoded &= gains_h[:, i] >= 1.0
+        forwarded = gains_g >= 1.0
+        forwarded &= decoded
+        # column by column: a strided count beats an axis reduction here
+        sent = np.zeros(n, dtype=np.intp)
+        for j in range(N):
+            decode_count[k, j] += np.count_nonzero(decoded[:, j])
+            sent += forwarded[:, j]
+        outage_count[k] += np.count_nonzero(sent < M)
 
 
 def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
@@ -210,7 +229,9 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     (ids rng.stream_id + 0 .. n_streams - 1, earlier streams take the
     remainder); since aggregation sums integer counts, running the
     streams in parallel workers reproduces this result exactly under the
-    same partitioning.
+    same partitioning.  chunk_size is part of the reproducibility key
+    too: each chunk draws all its first-hop gains before its second-hop
+    gains, so another chunk size gives another realization.
     """
     trials = int(trials)
     if trials < 1:
@@ -218,6 +239,9 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     n_streams = int(n_streams)
     if n_streams < 1:
         raise ValueError("n_streams must be >= 1")
+    chunk_size = int(chunk_size)
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     if isinstance(rng, np.random.Generator):
         if n_streams != 1:
             raise ValueError("a bare Generator cannot be split; pass an "
@@ -233,11 +257,15 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     outage_count = np.zeros(K, dtype=np.int64)
     decode_count = np.zeros((K, N), dtype=np.int64)
     base, rem = divmod(trials, n_streams)
+    rows = min(chunk_size, base + (1 if rem else 0))
+    gains_h = np.empty((rows, M, N))
+    gains_g = np.empty((rows, N))
     for s, gen in enumerate(streams):
         todo = base + (1 if s < rem else 0)
         while todo > 0:
-            n = min(todo, int(chunk_size))
-            _tally_chunk(config, margins, gen, n, outage_count, decode_count)
+            n = min(todo, chunk_size)
+            _tally_chunk(config, margins, gen, gains_h[:n], gains_g[:n],
+                         outage_count, decode_count)
             todo -= n
 
     pr_out = outage_count / trials

@@ -6,11 +6,13 @@ incomplete gamma, gamma-distribution moment identities, and the exact
 outage evaluator (itself enumeration-checked elsewhere).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from eecoop.model import zero_policy, total_energy
+from eecoop.model import load_scenario, zero_policy, total_energy
 from eecoop.montecarlo import (MonteCarloResult, RngSpec, TrialOutcome,
                                estimate_outage, sample_channel_power_gain,
                                simulate_period, wilson_interval)
@@ -18,6 +20,8 @@ from eecoop.outage import network_outage_report
 
 from helpers import solver_toy
 
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "reference_m2n4.json"
 
 def toy_point(M=1, N=1, K=1, p=1.0):
     """Scenario plus constant-power policy at a simulable outage level."""
@@ -93,6 +97,38 @@ class TestGainSampler:
         assert draws.shape == (1000, 2, 2)
         assert np.all(draws > 0)
 
+
+    @pytest.mark.parametrize("m", [0.5, 0.73, 1.0, 2.5])
+    def test_bitwise_equal_to_generator_gamma(self, m):
+        """Same bits and same stream position as Generator.gamma with
+        scale omega / m, for scalar and per-link omega."""
+        omega = np.array([[0.4, 1.7, 3.1], [2.2, 0.9, 5.0]])
+        for om, size in ((1.3, 5000), (omega, (700, 2, 3))):
+            ref = RngSpec(seed=5, stream_id=2).generator()
+            gen = RngSpec(seed=5, stream_id=2).generator()
+            want = ref.gamma(m, np.asarray(om) / m, size)
+            got = sample_channel_power_gain(om, m, gen, size=size)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64))
+            assert gen.random() == ref.random()
+
+    def test_array_omega_without_size_keeps_its_shape(self):
+        omega = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 0.25]])
+        draws = sample_channel_power_gain(omega, 1.5, RngSpec(seed=8))
+        want = RngSpec(seed=8).generator().gamma(1.5, omega / 1.5)
+        assert draws.shape == omega.shape
+        assert np.array_equal(draws, want)
+
+    def test_out_is_filled_and_returned(self):
+        omega = np.array([0.5, 2.0, 7.5])
+        out = np.empty((400, 3))
+        got = sample_channel_power_gain(omega, 0.73, RngSpec(seed=4),
+                                        size=out.shape, out=out)
+        want = sample_channel_power_gain(omega, 0.73, RngSpec(seed=4),
+                                         size=out.shape)
+        assert got is out
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 class TestTrialOutcome:
     def test_subset_invariant_enforced(self):
@@ -231,13 +267,83 @@ class TestEstimateOutage:
         assert np.array_equal(whole.outage_count, out)
         assert np.array_equal(whole.decode_count, dec)
 
-    def test_chunking_invisible(self):
-        cfg, pol = toy_point(M=1, N=1, K=1)
-        a = estimate_outage(cfg, pol, 10_000, RngSpec(seed=3),
-                            chunk_size=1 << 20)
-        b = estimate_outage(cfg, pol, 10_000, RngSpec(seed=3),
-                            chunk_size=977)
-        assert np.array_equal(a.outage_count, b.outage_count)
+    def test_chunk_size_keys_draws(self):
+        """chunk_size is part of the reproducibility key: each chunk draws
+        its first-hop block for all its trials before the second hop, so
+        another chunk size gives another (equally valid) realization."""
+        cfg, pol = toy_point(M=2, N=2, K=2)
+        counts = {}
+        for chunk in (1 << 20, 977):
+            res = estimate_outage(cfg, pol, 10_000, RngSpec(seed=3),
+                                  chunk_size=chunk)
+            counts[chunk] = (res.outage_count.tolist(),
+                             res.decode_count.tolist())
+        assert counts[1 << 20] == ([741, 748], [[9745, 9746], [9726, 9742]])
+        assert counts[977] == ([779, 702], [[9732, 9716], [9758, 9763]])
+
+    # (m, chunk_size) -> (outage_count, decode_count) for 20,000 trials
+    # over three streams on the reference geometry at 10 mW everywhere
+    PINNED_COUNTS = {
+        (0.5, 977): (
+            [9506, 9670, 9669, 9604, 9684, 9652, 9526, 9597, 9505, 9670],
+            [[11530, 14951, 13386, 7864], [11423, 14935, 13267, 7768],
+             [11429, 15032, 13351, 7857], [11507, 15000, 13249, 7923],
+             [11422, 14986, 13395, 7780], [11416, 15025, 13383, 7912],
+             [11635, 14878, 13351, 7739], [11492, 15016, 13340, 7881],
+             [11545, 14936, 13366, 7958], [11400, 14941, 13390, 7764]]),
+        (0.5, None): (
+            [9551, 9514, 9696, 9736, 9616, 9460, 9617, 9611, 9524, 9626],
+            [[11588, 14844, 13250, 7827], [11523, 14967, 13405, 7945],
+             [11446, 14950, 13311, 7859], [11371, 14929, 13298, 7783],
+             [11454, 14927, 13346, 7792], [11456, 14941, 13422, 7965],
+             [11378, 14976, 13269, 7881], [11406, 15021, 13285, 7922],
+             [11513, 14918, 13477, 7826], [11428, 15038, 13491, 7785]]),
+        (1.0, 977): (
+            [2483, 2413, 2494, 2376, 2376, 2419, 2445, 2418, 2426, 2416],
+            [[16381, 18195, 17883, 12047], [16496, 18238, 17906, 12175],
+             [16527, 18224, 17920, 12069], [16483, 18245, 17973, 12304],
+             [16507, 18189, 17949, 12109], [16479, 18186, 17891, 12145],
+             [16357, 18170, 17924, 12082], [16443, 18224, 17939, 12118],
+             [16524, 18169, 17904, 12202], [16438, 18214, 17883, 12220]]),
+        (1.0, None): (
+            [2375, 2395, 2394, 2402, 2447, 2369, 2386, 2405, 2482, 2358],
+            [[16529, 18239, 17899, 12164], [16488, 18178, 17925, 12103],
+             [16448, 18215, 17926, 12105], [16415, 18109, 18007, 12164],
+             [16433, 18159, 17910, 12076], [16502, 18210, 17910, 12209],
+             [16413, 18209, 17956, 12093], [16468, 18201, 17926, 12111],
+             [16387, 18243, 17887, 12062], [16510, 18167, 17952, 12159]]),
+        (2.5, 977): (
+            [66, 54, 74, 74, 52, 48, 69, 59, 73, 49],
+            [[19652, 19855, 19900, 17112], [19674, 19859, 19899, 17136],
+             [19650, 19879, 19918, 17026], [19695, 19866, 19923, 17017],
+             [19681, 19877, 19907, 16982], [19694, 19866, 19899, 17011],
+             [19647, 19860, 19919, 17048], [19684, 19860, 19924, 17050],
+             [19643, 19860, 19924, 17025], [19667, 19867, 19919, 16956]]),
+        (2.5, None): (
+            [62, 53, 69, 75, 69, 66, 61, 64, 62, 63],
+            [[19667, 19874, 19914, 17020], [19676, 19853, 19921, 17017],
+             [19672, 19869, 19902, 16972], [19638, 19892, 19912, 17052],
+             [19672, 19854, 19920, 17040], [19665, 19869, 19913, 17048],
+             [19663, 19854, 19923, 17049], [19678, 19866, 19911, 17043],
+             [19659, 19858, 19935, 17076], [19659, 19871, 19917, 16971]]),
+    }
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_counts_pinned(self, m):
+        """Exact tallies of a fixed constant-power policy, so that any
+        change to the draws, their order or the link decisions shows.
+        A fixed policy, not a solver output, keeps the pin independent
+        of platform-sensitive Newton counts."""
+        cfg = load_scenario(REFERENCE).replace(m=m)
+        pol = zero_policy(cfg, p_user=0.01, p_relay=0.01)
+        for chunk in (977, None):
+            kw = {} if chunk is None else {"chunk_size": chunk}
+            res = estimate_outage(cfg, pol, 20_000, RngSpec(seed=2024),
+                                  n_streams=3, **kw)
+            outage, decode = self.PINNED_COUNTS[m, chunk]
+            assert res.outage_count.dtype == np.int64
+            assert res.outage_count.tolist() == outage
+            assert res.decode_count.tolist() == decode
 
     def test_bad_arguments_rejected(self):
         cfg, pol = toy_point()
@@ -245,6 +351,8 @@ class TestEstimateOutage:
             estimate_outage(cfg, pol, 0, RngSpec(seed=1))
         with pytest.raises(ValueError):
             estimate_outage(cfg, pol, 100, RngSpec(seed=1), n_streams=0)
+        with pytest.raises(ValueError):
+            estimate_outage(cfg, pol, 100, RngSpec(seed=1), chunk_size=0)
         with pytest.raises(ValueError):
             estimate_outage(cfg, pol, 100,
                             RngSpec(seed=1).generator(), n_streams=2)
