@@ -301,7 +301,8 @@ class GridSpec:
     refine_rounds: int = 4
     shrink: float = 0.15         # log-range contraction per refinement
     p_floor: float = 1e-3        # W, lower edge of the first round
-    cell_budget: float = 2e6     # target mesh size for the default sizing
+    cell_budget: float = 2e6     # target mesh size for the default sizing,
+                                 # and the cap on an explicit one
 
 
 @dataclass
@@ -402,6 +403,10 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
     npts = grid.points_per_dim
     if npts is None:
         npts = max(4, min(64, int(round(grid.cell_budget ** (1.0 / ndim)))))
+    elif npts ** ndim > grid.cell_budget:
+        raise ValueError(
+            f"{npts} points on {ndim} axes make {npts ** ndim} cells, above "
+            f"the cell budget of {grid.cell_budget:g}")
 
     lo_u = np.full((M, K), grid.p_floor)
     hi_u = np.full((M, K), config.p_max)

@@ -155,8 +155,7 @@ class MonomialTable:
     def value(self, x):
         """x = log powers, shape (M+N,) or (M+N, K) column-wise."""
         with np.errstate(over="ignore"):
-            e = np.exp(self._exponents(x))
-        return np.matmul(e[..., None, :], self.coef[:, None])[..., 0, 0]
+            return (self.coef * np.exp(self._exponents(x))).sum(axis=-1)
 
     def value_grad_hess(self, x):
         """Value, gradient and Hessian at log powers x.

@@ -12,8 +12,10 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
               approximate outage <= target per period
 
 is convex and solved with a log-barrier interior-point method using damped
-Newton steps and a dense Cholesky factorization.  Solutions are audited
-against the exact outage expression afterwards.
+Newton steps and a dense Cholesky factorization.  A barrier stage ends when
+the Newton decrement is small or when the line search's Armijo margin is
+below what the barrier value can resolve.  Solutions are audited against
+the exact outage expression afterwards.
 
 Every barrier evaluation assembles all periods in one pass.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
@@ -21,8 +23,10 @@ per-period values, gradients and (K, M+N, M+N) Hessians that the objective
 and the outage constraints share; each table's Hessians enter the Newton
 matrix in one block add over the periods' variable indices.  The depleted
 variant's log-budget user coordinates are folded in by a Jacobian and a
-curvature term.  Causality and budget rows are one coordinate-form
-Jacobian whose Hessian is scattered in row order.
+curvature term.  Causality and budget rows are two dense matrices, one of
+exponential and one of linear coefficients, so their Hessian is one
+Jacobian product plus a diagonal.  barrier_value computes the same value
+as barrier_fgh by the same operations, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .model import (
 from .outage import MonomialTable, network_outage_report, outage_tables
 
 INF = float("inf")
+# A Newton stage has converged once its whole Armijo margin 0.25 * lambda^2
+# is below this share of |f|: f cannot resolve further progress there.
+F_RESOLUTION = 64.0 * np.finfo(float).eps
 
 
 class InfeasibleError(Exception):
@@ -153,12 +160,6 @@ def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
 # Every inequality is written g(z) <= 0.  In phase 1 a block marked soft is
 # relaxed to g(z) <= s * sigma with a shared slack variable s appended to z;
 # the barrier denominator is then (s * sigma - g) instead of (-g).
-#
-# Row logs and squared denominators use the scalar libm routines (math.log,
-# float **), which round a few arguments in 10^4 differently from np.log and
-# np.square, and row barriers and per-period objective terms are summed left
-# to right.  Once the barrier parameter is large the line search compares
-# values in their last bits, so this rounding fixes the Newton iterate path.
 
 
 def _denom(g, soft):
@@ -169,23 +170,10 @@ def _denom(g, soft):
 
 
 def _log_barrier(d):
-    """-sum(log d) over the rows of d, or INF when a row is not positive."""
-    acc = 0.0
-    for v in d.tolist():
-        if not v > 0.0:
-            return INF
-        acc -= math.log(v)
-    return acc
-
-
-def _sum_in_order(start, terms):
-    """start + terms[0] + terms[1] + ..., added left to right."""
-    return float(np.cumsum(np.concatenate([[start], terms]))[-1])
-
-
-def _squares(d):
-    """d ** 2 entry by entry with float pow."""
-    return np.array([v ** 2 for v in d.ravel().tolist()]).reshape(d.shape)
+    """-sum(log d), or INF when an entry is not positive."""
+    if not np.all(d > 0.0):
+        return INF
+    return -float(np.sum(np.log(d)))
 
 
 class Bounds:
@@ -201,118 +189,63 @@ class Bounds:
         return self.sign * z[self.idx] - self.b
 
     def phi(self, z):
-        denom = -self.values(z)
-        if np.any(denom <= 0.0):
-            return INF
-        return -float(np.sum(np.log(denom)))
+        return _log_barrier(-self.values(z))
 
     def barrier(self, z, grad, H):
         denom = -self.values(z)
-        if np.any(denom <= 0.0):
-            return INF
-        np.add.at(grad, self.idx, self.sign / denom)
-        np.add.at(H, (self.idx, self.idx), 1.0 / denom ** 2)
-        return -float(np.sum(np.log(denom)))
+        acc = _log_barrier(denom)
+        if np.isfinite(acc):
+            np.add.at(grad, self.idx, self.sign / denom)
+            np.add.at(H, (self.idx, self.idx), 1.0 / denom ** 2)
+        return acc
 
 
 class EnergyRows:
-    """Energy rows g = sum c * exp(z[e]) + a @ z[l] - rhs <= 0.
+    """Energy rows g = C @ exp(z) + A @ z - rhs <= 0, with C and A dense
+    (rows, dim) over the problem's variables.
 
     Causality rows (cumulative user spending) and the depleted variant's
-    budget rows.  The Jacobian is held in coordinate form, entries listed
-    row by row with a row's exponential entries first.  The Hessian,
-    outer(v, v) / d**2 per row plus the curvature v / d of its exponential
-    entries, is scattered in unbuffered adds in row order, so every entry
-    accumulates its rows in sequence.  Row values are reduced for all rows
-    of one length at once, with the pairwise sum and dot product that a
-    single row of that length gets.
+    budget rows.  exp is taken only on the columns C uses, so a large
+    transfer coordinate cannot meet a zero coefficient as inf * 0.
     """
 
-    # Hessian triples per scatter: causality has O(M K^3) in all, and a
-    # chunk of this size keeps its index arrays in cache
-    CHUNK = 1 << 16
-
-    def __init__(self, rows, soft_class):
-        # rows: list of (exp cols, exp coefs, lin cols, lin vals, rhs)
-        self.n = len(rows)
+    def __init__(self, C, A, rhs, soft_class):
+        self.C, self.A, self.rhs = C, A, rhs
+        self.n, self.dim = A.shape
+        self.exp_cols = np.flatnonzero(C.any(axis=0))
         self.soft_class = soft_class
-        self.n_exp = np.array([len(r[0]) for r in rows], dtype=int)
-        self.size = self.n_exp + [len(r[2]) for r in rows]
-        self.col = np.concatenate(
-            [np.concatenate([r[0], r[2]]) for r in rows]).astype(int)
-        self.coef = np.concatenate(
-            [np.concatenate([r[1], r[3]]) for r in rows]).astype(float)
-        start = np.cumsum(self.size) - self.size
-        self.is_exp = np.arange(self.col.size) \
-            < np.repeat(start + self.n_exp, self.size)
-        self.rhs = np.array([float(r[4]) for r in rows])
-        self.groups = []
-        for ne, n in sorted(set(zip(self.n_exp, self.size))):
-            rows_g = np.flatnonzero((self.n_exp == ne) & (self.size == n))
-            pos = start[rows_g][:, None] + np.arange(n)
-            self.groups.append((rows_g, pos[:, :ne], pos[:, ne:],
-                                self.col[pos[:, ne:]]))
 
-    def _entries(self, z):
-        """Jacobian entry values: c * exp(z) or the linear coefficient."""
-        vals = self.coef.copy()
+    def _exp_terms(self, z):
+        """C * exp(z), entry by entry."""
+        e = np.zeros(self.dim)
         with np.errstate(over="ignore"):
-            vals[self.is_exp] *= np.exp(z[self.col[self.is_exp]])
-        return vals
+            e[self.exp_cols] = np.exp(z[self.exp_cols])
+        return self.C * e
 
-    def _rows(self, z, vals):
-        g = np.empty(self.n)
-        for rows_g, epos, lpos, lcol in self.groups:
-            lin = np.matmul(vals[lpos][:, None, :], z[lcol][:, :, None])
-            g[rows_g] = (vals[epos].sum(axis=1) + lin[:, 0, 0]) \
-                - self.rhs[rows_g]
-        return g
+    def _rows(self, z, E):
+        return E.sum(axis=1) + self.A @ z[:self.dim] - self.rhs
 
     def values(self, z):
-        return self._rows(z, self._entries(z))
+        return self._rows(z, self._exp_terms(z))
 
     def phi(self, z, soft=None):
         return _log_barrier(_denom(self.values(z), soft))
 
     def barrier(self, z, grad, H, soft=None):
-        vals = self._entries(z)
-        d = _denom(self._rows(z, vals), soft)
+        E = self._exp_terms(z)
+        d = _denom(self._rows(z, E), soft)
         acc = _log_barrier(d)
         if not np.isfinite(acc):
             return INF
-        # entries row by row, each row closed by its slack entry when soft
-        size = self.size + (soft is not None)
-        ent_row = np.repeat(np.arange(self.n), size)
-        start = np.cumsum(size) - size
-        ent = np.arange(ent_row.size)
-        own = ent - start[ent_row] < self.size[ent_row]
-        v = np.full(ent_row.size, 0.0 if soft is None else -soft[2])
-        cols = np.full(ent_row.size, -1 if soft is None else soft[1])
-        v[own] = vals
-        cols[own] = self.col
-        np.add.at(grad, cols, v / d[ent_row])
-        # Hessian triples, whole rows per chunk: a row's outer-product
-        # pairs (a-major), then the curvature of its exponential entries
-        d2 = _squares(d)
-        count = size ** 2 + self.n_exp
-        chunk = (np.cumsum(count) - count) // self.CHUNK
-        exp_ent = ent[own][self.is_exp]
-        width = H.shape[1]
-        for rows in np.split(np.arange(self.n),
-                             np.flatnonzero(np.diff(chunk)) + 1):
-            lo, hi = start[rows[0]], start[rows[-1]] + size[rows[-1]]
-            part = ent[lo:hi]
-            reps = size[ent_row[part]]
-            a = np.repeat(part, reps)
-            b = np.arange(a.size) + np.repeat(
-                start[ent_row[part]] - np.cumsum(reps) + reps, reps)
-            curv = exp_ent[(exp_ent >= lo) & (exp_ent < hi)]
-            at = np.cumsum(size[rows] ** 2)[ent_row[curv] - rows[0]]
-            hv = np.insert((v[a] * v[b]) / d2[ent_row[a]], at,
-                           v[curv] / d[ent_row[curv]])
-            flat = np.insert(cols[a] * width + cols[b], at,
-                             cols[curv] * (width + 1))
-            np.add.at(H.reshape(-1), flat, hv)
+        # row Jacobians over z, the slack column last when soft
+        J = E + self.A
+        if soft is not None:
+            J = np.column_stack([J, np.full(self.n, -soft[2])])
+        J /= d[:, None]
+        grad += J.sum(axis=0)
+        H += J.T @ J
+        cols = self.exp_cols
+        H[cols, cols] += E[:, cols].T @ (1.0 / d)
         return acc
 
 
@@ -352,33 +285,27 @@ class OutageCons:
         return (ev.values - self.thr).T.ravel()
 
     def phi(self, ev, soft=None):
-        if ev is None:
-            return INF
         return _log_barrier(_denom(self.values(ev), soft))
 
     def barrier(self, ev, grad, H, soft=None):
-        if ev is None:
-            return INF
-        d = _denom(ev.values - self.thr, soft)
-        acc = _log_barrier(d.T.ravel())
+        d = _denom(self.values(ev), soft)
+        acc = _log_barrier(d)
         if not np.isfinite(acc):
             return INF
-        d2 = _squares(d)
-        for g_t, h_t, d_t, d2_t in zip(ev.grads, ev.hessians, d, d2):
-            d_t, d2_t = d_t[:, None], d2_t[:, None]
-            grad[ev.idx] += g_t / d_t
-            ev.add_hessian(H, (g_t[:, :, None] * g_t[:, None, :])
-                           / d2_t[:, :, None])
-            ev.add_hessian(H, (1.0 / d_t)[:, :, None] * h_t)
+        d = d.reshape(-1, len(ev.grads)).T                  # (tables, K)
+        for g_t, h_t, d_t in zip(ev.grads, ev.hessians, d):
+            grad[ev.idx] += g_t / d_t[:, None]
+            # outer(g, g) / d**2 + h / d per period
+            d3 = d_t[:, None, None]
+            ev.add_hessian(H, ((g_t[:, :, None] * g_t[:, None, :]) / d3
+                               + h_t) / d3)
             if soft is not None:
-                cross = (g_t * -soft[2]) / d2_t
+                cross = (g_t * -soft[2]) / (d_t ** 2)[:, None]
                 H[ev.idx, soft[1]] += cross
                 H[soft[1], ev.idx] += cross
         if soft is not None:
-            # the slack entries are shared by every row: add in row order
-            at = np.full(d.size, soft[1])
-            np.add.at(grad, at, -soft[2] / d.T.ravel())
-            np.add.at(H, (at, at), soft[2] * soft[2] / d2.T.ravel())
+            grad[soft[1]] -= soft[2] * float(np.sum(1.0 / d))
+            H[soft[1], soft[1]] += soft[2] ** 2 * float(np.sum(d ** -2.0))
         return acc
 
 
@@ -400,42 +327,43 @@ class Objective:
         self.lin_vals = np.asarray(lin_vals, dtype=float)   # J per unit z
         self.energy_const = float(energy_const)             # J
 
-    def energy_and_bits(self, z, ev):
-        """(total energy in J, expected delivered bits) at z."""
+    def _energy(self, z):
+        """(total energy in J, its exponential terms exp_base * exp(z))."""
         with np.errstate(over="ignore"):
-            energy = float(self.exp_base @ np.exp(z[self.exp_idx]))
+            e = self.exp_base * np.exp(z[self.exp_idx])
+        energy = float(e.sum()) + self.energy_const
         if self.lin_cols.size:
             energy += float(self.lin_vals @ z[self.lin_cols])
-        energy += self.energy_const
+        return energy, e
+
+    def _lost_bits(self, ev):
+        return float((self.table_bits[:, None] * ev.values).sum())
+
+    def energy_and_bits(self, z, ev):
+        """(total energy in J, expected delivered bits) at z."""
+        energy = self._energy(z)[0]
         if ev is None:
             return energy, -INF
-        lost = _sum_in_order(
-            0.0, (self.table_bits[:, None] * ev.values).T.ravel())
-        return energy, self.scale - lost
+        return energy, self.scale - self._lost_bits(ev)
 
     def value(self, z, q, ev):
-        energy, bits = self.energy_and_bits(z, ev)
-        if not np.isfinite(bits):
+        if ev is None:
             return INF
-        return ((self.scale - bits) + q * energy) / self.scale
+        return (self._lost_bits(ev) + q * self._energy(z)[0]) / self.scale
 
     def fgh(self, z, q, ev):
         D = z.shape[0]
         grad = np.zeros(D)
         H = np.zeros((D, D))
-        with np.errstate(over="ignore"):
-            e = self.exp_base * np.exp(z[self.exp_idx])
-        f = q * (float(e.sum()) + self.energy_const)
+        energy, e = self._energy(z)
         if self.lin_cols.size:
-            f += q * float(self.lin_vals @ z[self.lin_cols])
             np.add.at(grad, self.lin_cols, q * self.lin_vals / self.scale)
         np.add.at(grad, self.exp_idx, q * e / self.scale)
         np.add.at(H, (self.exp_idx, self.exp_idx), q * e / self.scale)
-        f /= self.scale
         if ev is None:
             return INF, grad, H
+        f = (self._lost_bits(ev) + q * energy) / self.scale
         w = self.table_bits / self.scale
-        f = _sum_in_order(f, (w[:, None] * ev.values).T.ravel())
         for w_t, g_t, h_t in zip(w, ev.grads, ev.hessians):
             grad[ev.idx] += w_t * g_t
             ev.add_hessian(H, w_t * h_t)
@@ -511,44 +439,39 @@ class EEProblem:
                 b += [self.e_cap, 0.0]
         self.bounds = Bounds(idx, sign, b)
 
-        rows = []
         lin_cols, lin_vals = [], []
         if not depleted:
             # Cumulative causality, one row per (user, period): spending
             # and net transfers through period k within arrivals through k.
             # The depleted equality makes it hold automatically.
+            through = np.tril(np.ones((K, K)))   # row k counts periods <= k
+            C = np.zeros((M, K, lay.dim))
+            A = np.zeros((M, K, lay.dim))
             for i in range(M):
-                for k in range(K):
-                    ei = lay.user_idx[i, :k + 1]
-                    ec = np.full(k + 1, T)
-                    lc, lv = [], []
-                    for j in range(M):
-                        if j == i:
-                            continue
-                        if (i, j) in lay.pair_idx:
-                            lc += list(lay.pair_idx[(i, j)][:k + 1])
-                            lv += [1.0] * (k + 1)
-                        if (j, i) in lay.pair_idx:
-                            lc += list(lay.pair_idx[(j, i)][:k + 1])
-                            lv += [-config.eta] * (k + 1)
-                    rhs = float(arrivals0[i, :k + 1].sum())
-                    rows.append((ei, ec, lc, lv, rhs))
-            self.energy_rows = EnergyRows(rows, soft_class="causality")
+                C[i][:, lay.user_idx[i]] = T * through
+            for (i, j), pidx in lay.pair_idx.items():
+                A[i][:, pidx] += through
+                A[j][:, pidx] -= config.eta * through
+            self.energy_rows = EnergyRows(
+                C.reshape(M * K, -1), A.reshape(M * K, -1),
+                np.cumsum(arrivals0, axis=1).ravel(), "causality")
         else:
-            # eliminated powers must stay inside the power box
+            # eliminated powers must stay inside the power box, two rows
+            # per (period, user):
+            # budget/T >= p_min  ->  -budget_A @ e_k <= c0 - p_min
+            # budget/T <= p_max  ->   budget_A @ e_k <= p_max - c0
+            A = np.zeros((K, M, lay.dim))
             for k in range(K):
-                for i in range(M):
-                    nz = np.flatnonzero(self.budget_A[i])
-                    cols, vals = lay.pair_mat[nz, k], self.budget_A[i, nz]
-                    c0 = self.budget_c0[i, k]
-                    # budget/T >= p_min  ->  -vals @ z <= c0 - p_min
-                    rows.append(((), (), cols, -vals, c0 - options.p_min))
-                    # budget/T <= p_max  ->  vals @ z <= p_max - c0
-                    rows.append(((), (), cols, vals, config.p_max - c0))
-                    # user energy = sum of budgets: linear in transfers
-                    lin_cols += list(cols)
-                    lin_vals += list(vals * T)
-            self.energy_rows = EnergyRows(rows, soft_class="power_budget")
+                A[k][:, lay.pair_mat[:, k]] = self.budget_A
+            c0 = self.budget_c0.T
+            self.energy_rows = EnergyRows(
+                np.zeros((2 * K * M, lay.dim)),
+                np.stack([-A, A], axis=2).reshape(2 * K * M, -1),
+                np.stack([c0 - options.p_min, config.p_max - c0],
+                         axis=2).ravel(), "power_budget")
+            # user energy = sum of budgets: linear in transfers
+            lin_cols = list(lay.pair_mat.T.ravel())
+            lin_vals = list(np.tile(T * self.budget_A.sum(axis=0), K))
 
         # Outage constraints: every table of every period under threshold.
         self.outage_cons = OutageCons(K * len(self.tables), self.threshold)
@@ -873,9 +796,14 @@ def _solve_newton_system(H, g):
 def _damped_newton(z, fgh, value, tol, max_iter):
     """Backtracking Newton on a barrier objective.
 
-    Returns (z, iters, converged); converged is True only when the
-    Newton decrement dropped below tol, so callers can tell a genuine
-    minimizer from a stall (line search exhausted or iteration cap).
+    A stage converges when half the squared Newton decrement lambda^2 is
+    at most tol, or when the Armijo margin 0.25 * lambda^2 of a full step
+    is at most F_RESOLUTION * |f|: below that the line search would only
+    compare f's rounding errors (at t = 1e9 the barrier is about 1e9 and
+    its last bits decide).  value(z) must round exactly like fgh(z)[0].
+    Returns (z, iters, converged); converged is False on a stall (line
+    search exhausted or iteration cap), so callers can tell a minimizer
+    from a stall.
     """
     f, g, H = fgh(z)
     if not np.isfinite(f):
@@ -890,7 +818,7 @@ def _damped_newton(z, fgh, value, tol, max_iter):
         if lam2 < 0.0:
             # factorization jitter can flip the sign at convergence scale
             lam2 = abs(lam2)
-        if 0.5 * lam2 <= tol:
+        if 0.5 * lam2 <= tol or 0.25 * lam2 <= F_RESOLUTION * abs(f):
             converged = True
             break
         alpha = 1.0
@@ -1057,10 +985,7 @@ def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
         gx = np.empty_like(x_tilde)
         gx[:config.M] = vec[lay.user_idx]
         gx[config.M:] = vec[lay.relay_idx]
-        gE = np.zeros((K, config_M, config_M))
-        for (i, j), idx in lay.pair_idx.items():
-            gE[:, i, j] = vec[idx]
-        return gx, gE
+        return gx, lay.transfer_array(vec)
 
     def hvp(vx, vE):
         v = np.zeros(lay.dim)

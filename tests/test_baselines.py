@@ -424,6 +424,13 @@ class TestBruteForce:
                                                   refine_rounds=3))
         assert abs(fine.ee - coarse.ee) <= 5e-3 * coarse.ee
 
+    def test_explicit_grid_within_cell_budget(self):
+        cfg = solver_toy(M=1, N=1, K=1, d=3.5, pr_out_0=1e-3,
+                         arrival_lo=8.0, arrival_hi=10.0)
+        with pytest.raises(ValueError, match="cell budget"):
+            brute_force_optimize(cfg, GridSpec(points_per_dim=1500,
+                                               refine_rounds=1))
+
     def test_infeasible_matches_solver_verdict(self):
         # N < M makes the coded outage identically one
         cfg = solver_toy(M=2, N=1, K=1, pr_out_0=1e-2, arrival_lo=3.0,

@@ -10,6 +10,7 @@ import pytest
 from eecoop.baselines import (
     build_per_user_tables,
     depleted_energy_policy,
+    no_transfer_policy,
     nonc_df_policy,
 )
 from eecoop.model import (
@@ -399,6 +400,7 @@ class TestBarrierAssembly:
     VARIANTS = {
         "standard": {},
         "no_transfer": {"transfers": False},
+        "depleted": {"depleted": True, "transfers": False},
         "depleted_transfers": {"depleted": True, "transfers": True},
         "nonc_df": "per_user_tables",
     }
@@ -455,6 +457,32 @@ class TestBarrierAssembly:
                    lambda zz: prob.barrier_value(zz, q, t),
                    z, self.coordinate_scale(prob, z))
 
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_value_rounds_like_fgh(self, variant):
+        """barrier_value(z) is barrier_fgh(z)[0] bit for bit, and likewise
+        for the phase-1 pair: the line search compares the two, and at
+        t = 1e9 its Armijo margin is a few ulps of f."""
+        rng = np.random.default_rng(29)
+        finite = 0
+        for scenario in ("toy", "reference"):
+            prob = self.problem(self.scenario(scenario), variant)
+            z0 = phase1(prob, prob.options)
+            energy, bits = prob.objective.energy_and_bits(
+                z0, prob.tables_at(z0))
+            q, sig = bits / energy, prob.soft_sigma
+            scale = self.coordinate_scale(prob, z0)
+            for _ in range(50):
+                z = z0 + 1e-4 * scale * rng.standard_normal(z0.size)
+                zs = np.append(z, float(prob.soft_values_scaled(z).max())
+                               + rng.uniform(0.1, 1.0))
+                for t in (1.0, 1e3, 1e9):
+                    f = prob.barrier_value(z, q, t)
+                    assert f == prob.barrier_fgh(z, q, t)[0]
+                    f_soft = prob.soft_barrier_value(zs, t, sig)
+                    assert f_soft == prob.soft_barrier_fgh(zs, t, sig)[0]
+                    finite += math.isfinite(f) + math.isfinite(f_soft)
+        assert finite == 600
+
     @pytest.mark.parametrize("scenario", ["toy", "reference"])
     def test_phase1_soft_barrier(self, scenario):
         """The soft form adds the slack as a last column shared by every
@@ -471,26 +499,28 @@ class TestBarrierAssembly:
 
 
 class TestReferencePin:
-    """Iterate-path pin on the bundled scenario.
+    """Iterate-path pin on the bundled scenario: exact Newton and outer
+    counts, optimum to 1e-9 relative.
 
-    Newton counts depend on last-bit rounding: the line search compares
-    barrier values at the resolution of a double once the barrier
-    parameter is large, and summing the exponential terms of every
-    causality row in reverse order moves the reference solve from 145 to
-    147 Newton iterations.  A change to the barrier assembly that keeps
-    these numbers kept every rounding.
-    Recorded with Python 3.11, NumPy 2.4.6 and SciPy 1.17.1 (OpenBLAS
-    SkylakeX kernels); another BLAS build or CPU may round differently and
-    need its own record.
+    A barrier stage ends when the Newton decrement is small or when the
+    line search's Armijo margin falls below what f can resolve, so late
+    stages are no longer settled by last-bit rounding.  These counts were
+    the same with OpenBLAS SkylakeX and Haswell kernels, with one BLAS
+    thread, and with the causality rows' exponential terms and the log
+    barrier sums reversed (Python 3.11, NumPy 2.4.6, SciPy 1.17.1).  A
+    change to the counts is a change to the iterate path: re-record them
+    in that change and say why.
     """
 
     PINS = {
-        "optimized": (dinkelbach_optimize, 145, 2, 119375.69334485181,
-                      119379.79473141617, 1e-4),
-        "depleted_energy": (depleted_energy_policy, 133, 2,
-                            52519.46459428261, 52521.99122509289, 1e-4),
-        "nonc_df": (nonc_df_policy, 144, 2, 29138.93125613207,
-                    29139.04772023083, 1e-4),
+        "optimized": (dinkelbach_optimize, 139, 2, 119375.69334521322,
+                      119379.7947315367, 1e-4),
+        "depleted_energy": (depleted_energy_policy, 127, 2,
+                            52519.46459433566, 52521.991225145975, 1e-4),
+        "nonc_df": (nonc_df_policy, 141, 2, 29138.931256132604,
+                    29139.0477202311, 1e-4),
+        "no_transfer": (no_transfer_policy, 132, 2, 119375.69573272503,
+                        119379.79473153682, 1e-4),
     }
 
     @pytest.mark.parametrize("method", list(PINS))
