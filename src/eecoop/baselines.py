@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 from scipy.special import gammainc
@@ -26,7 +25,9 @@ from .model import (
     validate_policy,
 )
 from .outage import (
-    MonomialTable,
+    _ONE,
+    _Posynomial,
+    _key_layout,
     link_b_factors,
     network_outage_exact,
     network_outage_report,
@@ -207,30 +208,18 @@ def build_per_user_tables(coeffs: LinkCoefficients, M: int, N: int):
 
     Message i is lost when it fails through every relay assigned to user
     i: relay j fails it when it cannot decode (c_ij * p_i**-m) or its
-    forwarding transmission fails (c_j * q_j**-m).  The product over the
-    assigned relays expands into 2**|assigned| monomials per user;
-    identical exponent patterns are merged.
+    forwarding transmission fails (c_j * q_j**-m).  Each user's table is
+    the product of these two-term sums over its assigned relays, with
+    identical exponent rows merged.
     """
+    dims, place = _key_layout(M, N)
     tables = []
     for i, assigned in enumerate(relay_assignment(M, N)):
-        rows = {}
-        for decode_fails in product([True, False], repeat=len(assigned)):
-            coef = 1.0
-            u_cnt = [0] * M
-            r_cnt = [0] * N
-            for j, failed in zip(assigned, decode_fails):
-                if failed:
-                    coef *= coeffs.c_u[i, j]
-                    u_cnt[i] += 1
-                else:
-                    coef *= coeffs.c_r[j]
-                    r_cnt[j] += 1
-            key = tuple(u_cnt) + tuple(r_cnt)
-            rows[key] = rows.get(key, 0.0) + coef
-        keys = sorted(rows)
-        coef = np.array([rows[k] for k in keys])
-        w = -coeffs.m * np.array(keys, dtype=float)
-        tables.append(MonomialTable(coef=coef, w=w, M=M, N=N, m=coeffs.m))
+        posy = _ONE
+        for j in assigned:
+            posy = posy * _Posynomial.merged(
+                place[[i, M + j]], [coeffs.c_u[i, j], coeffs.c_r[j]])
+        tables.append(posy.table(dims, M, coeffs.m))
     return tables
 
 

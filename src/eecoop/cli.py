@@ -447,15 +447,19 @@ def cmd_validate(args) -> int:
         report = validate_policy(config, policy)
     except ValueError as e:
         raise CliError(EXIT_INVALID, "invalid_input", str(e))
-    exact = network_outage_report(config, policy, mode="exact")
     record = {
         "command": "validate",
         "feasible": bool(report.feasible),
         "feasibility": _feasibility_block(report),
-        "outage": _outage_block(config, policy, args.outage_mode),
-        "ee_exact": float(energy_efficiency(config, policy, exact.pr_out)),
+        "outage": None,
+        "ee_exact": None,
         "e_tot": float(total_energy(config, policy)),
     }
+    if policy.outage_defined:
+        exact = network_outage_report(config, policy, mode="exact")
+        record["outage"] = _outage_block(config, policy, args.outage_mode)
+        record["ee_exact"] = float(energy_efficiency(config, policy,
+                                                     exact.pr_out))
     _emit(record, args.out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 

@@ -209,6 +209,11 @@ class Policy:
     def K(self):
         return self.p_u.shape[1]
 
+    @property
+    def outage_defined(self) -> bool:
+        """Exact outage needs every user power > 0 and no relay power < 0."""
+        return bool(np.all(self.p_u > 0.0) and np.all(self.p_r >= 0.0))
+
     def copy(self) -> "Policy":
         return Policy(self.p_u.copy(), self.p_r.copy(), self.transfers.copy())
 
@@ -400,7 +405,7 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
             f"period {k + 1}")
 
     # Exact outage against the configured target.
-    if check_outage and np.all(policy.p_u > 0.0):
+    if check_outage and policy.outage_defined:
         from .outage import network_outage_report
         report = network_outage_report(config, policy, mode="exact")
         limit = config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)
@@ -413,7 +418,7 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
                 f"{config.pr_out_0:.3e} in period {k + 1}")
     elif check_outage:
         worst["outage"] = 1.0
-        messages.append("outage undefined for non-positive user power")
+        messages.append("outage undefined for out-of-range powers")
 
     feasible = all(v <= 0.0 for v in worst.values())
     return FeasibilityReport(feasible=feasible, worst=worst, messages=messages)

@@ -8,29 +8,26 @@ into two disjoint events:
   A: fewer than M relays decode all messages,
   B: at least M relays decode, but fewer than M of them forward successfully.
 
-The exact expressions come from one recursion over relays: relay by relay it
-updates the distribution of how many relays decode and how many of those
-forward, each count capped at M, so A and B are read off its states.  The
-approximate expressions replace every per-link outage with its dominant
-monomial c * p**(-m), drop factors that tend to one, and expand everything,
-relay subset by relay subset, into a sum of monomials in the transmit
-powers.  That sum-of-exponentials form (in log-power coordinates) is what
-the convex solver consumes.
+Both forms come from one recursion over relays: relay by relay it updates
+the distribution of how many relays decode and how many of those forward,
+each count capped at M, so A and B are read off its states.  The
+approximate form replaces every per-link outage with its dominant monomial
+c * p**(-m) and every success probability with one, and runs the recursion
+on posynomials into a sum of monomials in the transmit powers.  That
+sum-of-exponentials form (in log-power coordinates) is what the convex
+solver consumes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 from scipy.special import gammainc
 
 from .model import LinkCoefficients, Policy, ScenarioConfig, snr_gap
 
-# Guard on the expanded monomial table size for the approximate form.
+# Most terms a merged posynomial of the approximate form may hold.
 MAX_TABLE_TERMS = 2_000_000
 
 
@@ -74,6 +71,31 @@ def relay_decode_prob(pe_user):
     return np.prod(1.0 - pe_user, axis=-2)
 
 
+def relay_recursion(weights, P):
+    """Fold relays into the (decoders, forwarders) distribution P.
+
+    weights yields per relay the weights (miss, dec, fwd) of failing to
+    decode, of decoding without forwarding, and of forwarding.  P[d, f],
+    shape (M + 1, M, ...), starts as one at [0, 0] and zero elsewhere and
+    holds d decoders (d = M: at least M), f < M of them forwarding; mass
+    reaching M forwarders is delivered and dropped.  Returns the sums over
+    d < M (event A) and d = M (event B).  Only + and * are applied.
+    """
+    M = P.shape[1]
+    for miss, dec, fwd in weights:
+        # rows from the top down, so row d - 1 still holds the old values
+        for d in range(M, 0, -1):
+            row = P[d] * miss
+            row += P[d - 1] * dec
+            row[1:] += P[d - 1, :-1] * fwd
+            if d == M:  # at least M decoders stay at least M
+                row += P[M] * dec
+                row[1:] += P[M, :-1] * fwd
+            P[d] = row
+        P[0] *= miss
+    return P[:M].sum(axis=(0, 1)), P[M].sum(axis=0)
+
+
 def network_outage_exact(rho, pe_relay, M: int):
     """Exact network outage from relay statistics, batched over periods.
 
@@ -82,9 +104,9 @@ def network_outage_exact(rho, pe_relay, M: int):
     with the relay on axis 0.  Returns (pr_out, pr_A, pr_B) over the
     trailing axes.
 
-    Relays join one at a time the joint distribution of (decoders, relays
-    that decode and forward), each count capped at M; mass that reaches M
-    forwarders is delivered and dropped.  That is O(N M^2) per period, and
+    relay_recursion joins relays one at a time to the joint distribution
+    of (decoders, relays that decode and forward), each count capped at
+    M.  That is O(N M^2) per period, and
     every state probability is a sum of products of probabilities, so
     values far below one keep full relative accuracy.
     """
@@ -96,23 +118,10 @@ def network_outage_exact(rho, pe_relay, M: int):
         raise ValueError("probabilities must lie in [0, 1]")
     if M < 1:
         raise ValueError("M must be >= 1")
-    # P[d, f]: d decoders (d = M: at least M), f < M of them forward
     P = np.zeros((M + 1, M) + rho.shape[1:])
     P[0, 0] = 1.0
-    for r, e in zip(rho, pe_relay):
-        miss, dec, fwd = 1.0 - r, r * e, r * (1.0 - e)
-        # rows from the top down, so row d - 1 still holds the old values
-        for d in range(M, 0, -1):
-            row = P[d] * miss
-            row += P[d - 1] * dec
-            row[1:] += P[d - 1, :-1] * fwd
-            if d == M:  # at least M decoders stay at least M
-                row += P[M] * dec
-                row[1:] += P[M, :-1] * fwd
-            P[d] = row
-        P[0] *= miss
-    pr_A = P[:M].sum(axis=(0, 1))
-    pr_B = P[M].sum(axis=0)
+    pr_A, pr_B = relay_recursion(
+        ((1.0 - r, r * e, r * (1.0 - e)) for r, e in zip(rho, pe_relay)), P)
     # pr_A + pr_B <= 1 in exact arithmetic, not always once rounded
     return np.minimum(pr_A + pr_B, 1.0), pr_A, pr_B
 
@@ -175,92 +184,84 @@ class MonomialTable:
         return t.sum(axis=-1), grad.T, hess
 
 
-def _merge_terms(rows: dict, M: int, N: int, m: float) -> MonomialTable:
-    if not rows:
-        return MonomialTable(coef=np.zeros(0), w=np.zeros((0, M + N)),
-                             M=M, N=N, m=m)
-    keys = sorted(rows.keys())
-    coef = np.array([rows[k] for k in keys], dtype=float)
-    counts = np.array(keys, dtype=float)
-    return MonomialTable(coef=coef, w=-m * counts, M=M, N=N, m=m)
+class _Posynomial:
+    """Sparse posynomial in the powers of one period: sorted unique int64
+    keys that pack exponent counts (_key_layout), so that multiplying
+    monomials adds keys, and positive coefficients.  Every merge checks
+    MAX_TABLE_TERMS."""
+
+    def __init__(self, keys, coef):
+        self.keys, self.coef = keys, coef
+
+    @classmethod
+    def merged(cls, keys, coef):
+        keys, inv = np.unique(keys, return_inverse=True)
+        if keys.size > MAX_TABLE_TERMS:
+            raise ValueError(f"outage posynomial needs {keys.size} terms, "
+                             f"over the {MAX_TABLE_TERMS} cap; reduce M or N")
+        return cls(keys, np.bincount(inv, weights=coef, minlength=keys.size))
+
+    def __add__(self, other):
+        if not (self.keys.size and other.keys.size):
+            return self if self.keys.size else other
+        return _Posynomial.merged(np.concatenate([self.keys, other.keys]),
+                                  np.concatenate([self.coef, other.coef]))
+
+    def __mul__(self, other):
+        if not other.keys.size:
+            return other
+        if other.keys.size == 1:  # a shift keeps the keys sorted and unique
+            return _Posynomial(self.keys + other.keys[0],
+                               self.coef * other.coef[0])
+        return _Posynomial.merged(np.add.outer(self.keys, other.keys).ravel(),
+                                  np.multiply.outer(self.coef,
+                                                    other.coef).ravel())
+
+    def table(self, dims, M: int, m: float) -> MonomialTable:
+        counts = np.stack(np.unravel_index(self.keys, dims), axis=-1)
+        return MonomialTable(coef=self.coef, w=-m * counts, M=M,
+                             N=len(dims) - M, m=m)
+
+
+_ZERO = _Posynomial(np.zeros(0, dtype=np.int64), np.zeros(0))
+_ONE = _Posynomial(np.zeros(1, dtype=np.int64), np.ones(1))
+
+
+def _key_layout(M: int, N: int):
+    """Radices and per-power place values of the monomial keys: exponent
+    counts as mixed-radix digits, users (at most N) then relays (at most
+    1), most significant first, so sorted keys are count rows in
+    lexicographic order.  Raises ValueError when keys would overflow."""
+    dims = (N + 1,) * M + (2,) * N
+    return dims, np.ravel_multi_index(tuple(np.eye(M + N, dtype=np.intp)),
+                                      dims)
 
 
 def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
-    """Expand the approximate outage into monomial tables (A part, B part).
+    """Monomial tables (A part, B part) of the approximate outage.
 
-    Identical exponent patterns are merged.  Raises when the expansion
-    would exceed MAX_TABLE_TERMS raw terms.
+    Relay j misses a decode with f_j = sum_i c_u[i, j] * p_i**-m and fails
+    to forward with g_j = c_r[j] * q_j**-m.  A is relay_recursion on the
+    weights (f_j, 1, 0), B on (f_j, g_j, 1), run on sparse posynomials.
+    Rows are merged and sorted lexicographically by exponent counts.
+    Raises when a merged posynomial exceeds MAX_TABLE_TERMS terms.
     """
     c_u, c_r, m = coeffs.c_u, coeffs.c_r, coeffs.m
     if c_u.shape != (M, N) or c_r.shape != (N,):
         raise ValueError("link coefficient shapes do not match (M, N)")
-    raw = 0
-    for n in range(0, min(M - 1, N) + 1):
-        raw += math.comb(N, n) * M ** (N - n)
-    for n in range(M, N + 1):
-        inner = sum(math.comb(n, tau) for tau in range(0, M))
-        raw += math.comb(N, n) * M ** (N - n) * inner
-    if raw > MAX_TABLE_TERMS:
-        raise ValueError(
-            f"approximate outage expansion needs {raw} terms, above the "
-            f"{MAX_TABLE_TERMS} limit; reduce M or N")
-
-    def first_hop_terms(others):
-        """All ways the relays in `others` fail: per relay one user's
-        monomial is charged.  Yields (coef, user count vector)."""
-        if not others:
-            yield 1.0, (0,) * M
-            return
-        for assign in product(range(M), repeat=len(others)):
-            coef = 1.0
-            counts = [0] * M
-            for j, i in zip(others, assign):
-                coef *= c_u[i, j]
-                counts[i] += 1
-            yield coef, tuple(counts)
-
-    rows_A = {}
-    for n in range(0, min(M - 1, N) + 1):
-        for phi in combinations(range(N), n):
-            others = [j for j in range(N) if j not in phi]
-            for coef, u_counts in first_hop_terms(others):
-                key = u_counts + (0,) * N
-                rows_A[key] = rows_A.get(key, 0.0) + coef
-
-    rows_B = {}
-    for n in range(M, N + 1):
-        for phi in combinations(range(N), n):
-            others = [j for j in range(N) if j not in phi]
-            second = []
-            for tau in range(0, M):
-                for psi_pos in combinations(range(n), tau):
-                    psi_set = set(psi_pos)
-                    coef2 = 1.0
-                    r_counts = [0] * N
-                    for pos, j in enumerate(phi):
-                        if pos not in psi_set:
-                            coef2 *= c_r[j]
-                            r_counts[j] += 1
-                    second.append((coef2, tuple(r_counts)))
-            for coef1, u_counts in first_hop_terms(others):
-                for coef2, r_counts in second:
-                    key = u_counts + r_counts
-                    rows_B[key] = rows_B.get(key, 0.0) + coef1 * coef2
-
-    return (_merge_terms(rows_A, M, N, m), _merge_terms(rows_B, M, N, m))
-
-
-@lru_cache(maxsize=32)
-def _cached_tables(cu_flat, cr_flat, m, M, N):
-    c_u = np.array(cu_flat, dtype=float).reshape(M, N)
-    c_r = np.array(cr_flat, dtype=float)
-    return build_outage_tables(LinkCoefficients(c_u=c_u, c_r=c_r, m=m), M, N)
+    dims, place = _key_layout(M, N)
+    f = [_Posynomial.merged(place[:M], c_u[:, j]) for j in range(N)]
+    g = [_Posynomial(place[M + j:M + j + 1], c_r[j:j + 1]) for j in range(N)]
+    P = np.full((2, M + 1, M), _ZERO, dtype=object)
+    P[:, 0, 0] = _ONE
+    pr_A, _ = relay_recursion(((f_j, _ONE, _ZERO) for f_j in f), P[0])
+    _, pr_B = relay_recursion(zip(f, g, [_ONE] * N), P[1])
+    return pr_A.table(dims, M, m), pr_B.table(dims, M, m)
 
 
 def outage_tables(coeffs: LinkCoefficients, M: int, N: int):
-    """Cached table build keyed by coefficient values."""
-    return _cached_tables(tuple(coeffs.c_u.ravel().tolist()),
-                          tuple(coeffs.c_r.tolist()), coeffs.m, M, N)
+    """The (A part, B part) monomial tables the solver evaluates."""
+    return build_outage_tables(coeffs, M, N)
 
 
 def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):

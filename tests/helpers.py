@@ -1,8 +1,11 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and expansion oracles for the test suite."""
+
+from itertools import combinations, product
 
 import numpy as np
 
 from eecoop.model import ScenarioConfig
+from eecoop.outage import MonomialTable
 
 
 def make_config(**over):
@@ -37,3 +40,91 @@ def solver_toy(M=2, N=2, K=2, pr_out_0=5e-2, eta=0.8, seed=7, m=1.0,
         omega_g=np.ones(N), d_g=np.full(N, float(d)),
         beta_g=np.full(N, 3.0), N0_g=np.full(N, 1e-9),
         arrivals=arrivals, pr_out_0=pr_out_0, **kw)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the monomial tables expanded relay subset by relay subset
+
+
+def _oracle_table(rows: dict, M: int, N: int, m: float) -> MonomialTable:
+    """Table of {exponent count tuple: coefficient}, rows sorted."""
+    if not rows:
+        return MonomialTable(coef=np.zeros(0), w=np.zeros((0, M + N)),
+                             M=M, N=N, m=m)
+    keys = sorted(rows.keys())
+    coef = np.array([rows[k] for k in keys], dtype=float)
+    return MonomialTable(coef=coef, w=-m * np.array(keys, dtype=float),
+                         M=M, N=N, m=m)
+
+
+def expanded_outage_tables(coeffs, M, N):
+    """(A part, B part) of the approximate outage, expanded term by term.
+
+    A: fewer than M relays (the set phi) decode; every other relay j is
+    charged one user's first-hop monomial c_u[i, j] * p_i**-m.  B: at least
+    M decode, and the decoders outside the forwarding set psi (fewer than
+    M) are charged c_r[j] * q_j**-m.
+    """
+    c_u, c_r, m = coeffs.c_u, coeffs.c_r, coeffs.m
+
+    def first_hop_terms(others):
+        for assign in product(range(M), repeat=len(others)):
+            coef = 1.0
+            counts = [0] * M
+            for j, i in zip(others, assign):
+                coef *= c_u[i, j]
+                counts[i] += 1
+            yield coef, tuple(counts)
+
+    rows_A = {}
+    for n in range(0, min(M - 1, N) + 1):
+        for phi in combinations(range(N), n):
+            others = [j for j in range(N) if j not in phi]
+            for coef, u_counts in first_hop_terms(others):
+                key = u_counts + (0,) * N
+                rows_A[key] = rows_A.get(key, 0.0) + coef
+
+    rows_B = {}
+    for n in range(M, N + 1):
+        for phi in combinations(range(N), n):
+            others = [j for j in range(N) if j not in phi]
+            second = []
+            for tau in range(0, M):
+                for psi_pos in combinations(range(n), tau):
+                    coef2 = 1.0
+                    r_counts = [0] * N
+                    for pos, j in enumerate(phi):
+                        if pos not in psi_pos:
+                            coef2 *= c_r[j]
+                            r_counts[j] += 1
+                    second.append((coef2, tuple(r_counts)))
+            for coef1, u_counts in first_hop_terms(others):
+                for coef2, r_counts in second:
+                    key = u_counts + r_counts
+                    rows_B[key] = rows_B.get(key, 0.0) + coef1 * coef2
+
+    return (_oracle_table(rows_A, M, N, m), _oracle_table(rows_B, M, N, m))
+
+
+def expanded_per_user_tables(coeffs, groups, M, N):
+    """Per-user tables of plain relaying: user i's product over its relays
+    group[i] of (c_u[i, j] * p_i**-m + c_r[j] * q_j**-m), expanded into
+    its 2**len(group) monomials."""
+    tables = []
+    for i, assigned in enumerate(groups):
+        rows = {}
+        for decode_fails in product([True, False], repeat=len(assigned)):
+            coef = 1.0
+            u_cnt = [0] * M
+            r_cnt = [0] * N
+            for j, failed in zip(assigned, decode_fails):
+                if failed:
+                    coef *= coeffs.c_u[i, j]
+                    u_cnt[i] += 1
+                else:
+                    coef *= coeffs.c_r[j]
+                    r_cnt[j] += 1
+            key = tuple(u_cnt) + tuple(r_cnt)
+            rows[key] = rows.get(key, 0.0) + coef
+        tables.append(_oracle_table(rows, M, N, coeffs.m))
+    return tables

@@ -181,6 +181,31 @@ class TestValidate:
         assert rec["feasible"] is False
         assert rec["feasibility"]["messages"]
 
+    @pytest.mark.parametrize("field,value,bound,undefined", [
+        ("p_u", 0.0, "power_bounds", True),
+        ("p_r", -0.5, "power_bounds", True),
+        ("transfers", -0.5, "transfer_bounds", False)])
+    def test_out_of_bounds_policy_exits_3(self, toy_path, tmp_path, field,
+                                          value, bound, undefined):
+        """A bound violation is an infeasible policy, not invalid input;
+        outage and energy efficiency are null where outage is undefined."""
+        art = tmp_path / "result.json"
+        run_cli(["optimize", "--scenario", toy_path, "--out", art])
+        pol = json.loads(art.read_text())["policy"]
+        arr = np.asarray(pol[field])
+        arr.reshape(-1)[1] = value  # off the transfer diagonal
+        pol[field] = arr.tolist()
+        bad = tmp_path / "bounds.json"
+        bad.write_text(json.dumps(pol), encoding="utf-8")
+        code, out = run_cli(["validate", "--scenario", toy_path,
+                             "--policy", bad])
+        assert code == 3
+        rec = json.loads(out)
+        assert rec["feasible"] is False
+        assert rec["feasibility"]["worst"][bound] > 0.0
+        assert (rec["outage"] is None) == undefined
+        assert (rec["ee_exact"] is None) == undefined
+
     def test_wrong_shape_policy_exits_2(self, toy_path, tmp_path):
         pol = Policy(np.ones((3, 2)), np.ones((2, 2)),
                      np.zeros((2, 3, 3))).to_dict()

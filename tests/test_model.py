@@ -279,6 +279,19 @@ class TestValidatePolicy:
         assert not report.feasible
         assert report.worst["power_bounds"] > 0.0
 
+    @pytest.mark.parametrize("field,value", [("p_u", 0.0), ("p_r", -0.5)])
+    def test_undefined_outage_recorded(self, field, value):
+        """A zero user or negative relay power is a power-bound violation;
+        the audit marks outage undefined instead of raising."""
+        cfg = make_config(pr_out_0=0.2)
+        pol = self.feasible_policy(cfg)
+        getattr(pol, field)[1, 0] = value
+        report = validate_policy(cfg, pol)
+        assert not report.feasible
+        assert report.worst["power_bounds"] > 0.0
+        assert report.worst["outage"] == 1.0
+        assert any("outage undefined" in msg for msg in report.messages)
+
     def test_power_ceiling(self):
         cfg = make_config()
         pol = self.feasible_policy(cfg)

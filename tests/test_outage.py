@@ -4,11 +4,19 @@ expressions and the posynomial approximation used by the optimizer."""
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eecoop.model import LinkCoefficients, Policy, compute_link_coefficients
+from eecoop import outage
+from eecoop.baselines import build_per_user_tables, relay_assignment
+from eecoop.model import (
+    LinkCoefficients,
+    Policy,
+    compute_link_coefficients,
+    load_scenario,
+)
 from eecoop.outage import (
     MonomialTable,
     build_outage_tables,
@@ -19,8 +27,16 @@ from eecoop.outage import (
     per_link_outage_approx,
     per_link_outage_exact,
     relay_decode_prob,
+    relay_recursion,
 )
-from helpers import make_config
+from helpers import (
+    expanded_outage_tables,
+    expanded_per_user_tables,
+    make_config,
+)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "reference_m2n4.json"
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +310,6 @@ class TestMonomialTables:
         assert tA.coef[cross[0]] == pytest.approx(
             0.002 * 0.007 + 0.003 * 0.005, rel=1e-15)
 
-    def test_cache_returns_same_tables(self):
-        coeffs = self.hand_coeffs()
-        a1, b1 = outage_tables(coeffs, 2, 2)
-        a2, b2 = outage_tables(coeffs, 2, 2)
-        assert a1 is a2 and b1 is b2
-
     @pytest.mark.parametrize("source", ["hand", "make_config"])
     def test_gradients_and_curvature(self, source):
         """Pushforward derivatives match finite differences and the
@@ -350,6 +360,78 @@ class TestMonomialTables:
             assert v[k] == v_k
             np.testing.assert_array_equal(g[:, k], g_k)
             np.testing.assert_array_equal(H[k], H_k)
+
+
+class TestRecursionTables:
+    """The tables built by the relay recursion against the term-by-term
+    expansions in helpers, and beyond the size the expansion could reach."""
+
+    @staticmethod
+    def assert_tables_match(got, expect):
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert g.w.shape == e.w.shape
+            assert np.array_equal(g.w, e.w)
+            np.testing.assert_allclose(g.coef, e.coef, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("M,N", [(1, 1), (1, 3), (2, 1), (3, 2), (2, 2),
+                                     (2, 4), (3, 3), (3, 5)])
+    def test_matches_expansion(self, M, N, m):
+        rng = np.random.default_rng([M, N, int(10 * m)])
+        coeffs = LinkCoefficients(c_u=10.0 ** rng.uniform(-6, -1, (M, N)),
+                                  c_r=10.0 ** rng.uniform(-6, -1, N), m=m)
+        tA, tB = build_outage_tables(coeffs, M, N)
+        self.assert_tables_match((tA, tB),
+                                 expanded_outage_tables(coeffs, M, N))
+        if N < M:
+            # fewer than M relays: B is empty, and A holds the constant
+            # monomial of every relay decoding
+            assert tB.w.shape == (0, M + N)
+            assert np.any(np.all(tA.w == 0.0, axis=1))
+        else:
+            self.assert_tables_match(
+                build_per_user_tables(coeffs, M, N),
+                expanded_per_user_tables(coeffs, relay_assignment(M, N),
+                                         M, N))
+
+    @staticmethod
+    def wide_coeffs(M, N):
+        """Link coefficients of the bundled reference links tiled to
+        (M, N) users and relays."""
+        ref = load_scenario(REFERENCE)
+        coeffs = compute_link_coefficients(ref)
+        relays = np.arange(N) % ref.N
+        return LinkCoefficients(
+            c_u=coeffs.c_u[np.ix_(np.arange(M) % ref.M, relays)],
+            c_r=coeffs.c_r[relays], m=coeffs.m)
+
+    def test_beyond_expansion_cap(self):
+        """(4, 10) was above the term-by-term expansion's cap; its tables
+        evaluate to the relay recursion run on float weights."""
+        M, N = 4, 10
+        coeffs = self.wide_coeffs(M, N)
+        tA, tB = build_outage_tables(coeffs, M, N)
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1.0, 3.0, size=(M + N, 5))
+        f = (coeffs.c_u[:, :, None]
+             * np.exp(-coeffs.m * x[:M, None, :])).sum(axis=0)
+        g = coeffs.c_r[:, None] * np.exp(-coeffs.m * x[M:])
+
+        def run(weights):
+            P = np.zeros((M + 1, M, x.shape[1]))
+            P[0, 0] = 1.0
+            return relay_recursion(weights, P)
+
+        pr_A, _ = run((f_j, 1.0, 0.0) for f_j in f)
+        _, pr_B = run((f_j, g_j, 1.0) for f_j, g_j in zip(f, g))
+        np.testing.assert_allclose(tA.value(x), pr_A, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tB.value(x), pr_B, rtol=1e-12, atol=0.0)
+
+    def test_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(outage, "MAX_TABLE_TERMS", 1_000)
+        with pytest.raises(ValueError, match="1000 cap"):
+            build_outage_tables(self.wide_coeffs(3, 8), 3, 8)
 
 
 class TestNetworkOutageApprox:
