@@ -8,13 +8,17 @@ validate   audit a stored policy file against a scenario (JSON)
 sweep      re-optimize across one parameter axis and write a CSV table
 compare    run the optimizer and all baseline policies, write a CSV table
 
+sweep and compare are one table command (`cmd_table`) that differ only in
+the methods solved per axis point and in the CSV columns.  Every CSV row is
+a dict keyed by column name; cells a row lacks are written empty.
+
 All artifacts are deterministic: JSON objects are emitted with sorted keys
 and CSV rows follow the order in which axis values were given, so identical
 inputs (plus seed, for simulate) produce byte-identical outputs.
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible (scenario or policy),
 4 solver failure.  Failures print a machine-parsable JSON error record to
-stdout.
+stdout; `main` maps a ValueError to exit 2 and a RuntimeError to exit 4.
 """
 
 from __future__ import annotations
@@ -99,19 +103,24 @@ def _apply_override(data: dict, item: str) -> None:
                        f"override path {key!r} does not fit the scenario")
 
 
-def _load_scenario_data(args) -> dict:
+def _read_json_object(path, what: str) -> dict:
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise CliError(EXIT_INVALID, "invalid_input",
-                       f"cannot read scenario: {_clean(e)}")
+                       f"cannot read {what}: {_clean(e)}")
     except json.JSONDecodeError as e:
         raise CliError(EXIT_INVALID, "invalid_input",
-                       f"scenario is not valid JSON: {_clean(e)}")
+                       f"{what} is not valid JSON: {_clean(e)}")
     if not isinstance(data, dict):
         raise CliError(EXIT_INVALID, "invalid_input",
-                       "scenario file must hold a JSON object")
+                       f"{what} file must hold a JSON object")
+    return data
+
+
+def _load_scenario_data(args) -> dict:
+    data = _read_json_object(args.scenario, "scenario")
     for item in args.overrides:
         _apply_override(data, item)
     return data
@@ -130,21 +139,9 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _load_policy(path) -> Policy:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise CliError(EXIT_INVALID, "invalid_input",
-                       f"cannot read policy: {_clean(e)}")
-    except json.JSONDecodeError as e:
-        raise CliError(EXIT_INVALID, "invalid_input",
-                       f"policy is not valid JSON: {_clean(e)}")
-    if isinstance(data, dict) and "p_u" not in data \
-            and isinstance(data.get("policy"), dict):
+    data = _read_json_object(path, "policy")
+    if "p_u" not in data and isinstance(data.get("policy"), dict):
         data = data["policy"]  # accept a stored `optimize` artifact directly
-    if not isinstance(data, dict):
-        raise CliError(EXIT_INVALID, "invalid_input",
-                       "policy file must hold a JSON object")
     try:
         return Policy.from_dict(data)
     except (KeyError, ValueError, TypeError) as e:
@@ -153,8 +150,6 @@ def _load_policy(path) -> Policy:
 
 
 def _parse_sweep(specs) -> tuple:
-    if isinstance(specs, str):
-        specs = [specs]
     if len(specs) != 1:
         raise CliError(EXIT_INVALID, "invalid_input",
                        "exactly one sweep axis is allowed")
@@ -291,80 +286,69 @@ def _solve_record(config: ScenarioConfig, res, mode: str) -> dict:
 def _point_worker(task):
     """One sweep/compare point; module-level so a process pool can run it.
 
-    Returns (index, rows, failure) where rows are column dicts and failure
-    is None or "solver" when any solve in the point crashed or ended in a
+    Returns (index, rows, failed).  rows holds one dict per method, keyed
+    by CSV column, in the order of `methods`; the optimized row also
+    carries per-period outage in the requested mode as pr_out_1 ...
+    pr_out_K.  failed is True when a solve crashed or ended in a
     non-infeasible failure state.
     """
-    idx, data, axis, value, mode, compare = task
-    base = {"axis": axis, "value": value}
+    idx, data, axis, value, mode, methods = task
     config = ScenarioConfig(**data)
-    failure = None
-
-    def run(label, fn):
-        nonlocal failure
-        row = dict(base, method=label)
+    full_res = None
+    # the names are looked up at call time, so rebinding one on this
+    # module reaches every point run in this process
+    solves = {
+        "optimized": lambda: dinkelbach_optimize(config),
+        "no_transfer": lambda: no_transfer_policy(config),
+        "depleted_energy": lambda: depleted_energy_policy(config),
+        "uniform_power": lambda: uniform_power_policy(
+            config, relay_powers_from=full_res),
+        "nonc_df": lambda: nonc_df_policy(config),
+    }
+    failed = False
+    rows = []
+    for method in methods:
+        row = dict(axis=axis, value=value, method=method, feasible=False)
+        rows.append(row)
         try:
-            res = fn()
-        except Exception as e:  # keep the sweep alive, flag the point
-            failure = "solver"
-            row.update(feasible=False,
-                       reason=f"solver_failure: {_clean(e)}")
-            return row, None
-        if res.status == "infeasible":
-            row.update(feasible=False, reason=res.binding_class or "")
-            return row, res
-        if not res.feasible:
-            failure = "solver"
-            row.update(feasible=False, reason=res.status)
-            return row, res
-        row.update(
-            feasible=True, reason="",
-            ee=float(res.ee_exact),
-            e_tot=float(res.e_tot),
-            q_star=float(res.q_star),
-            transfers_total=float(res.policy.transfers.sum()),
-            pr_out_max=float(np.max(res.outage_exact.pr_out)))
-        return row, res
+            res = solves[method]()
+        except Exception as e:  # keep the table alive, flag the point
+            failed = True
+            row["reason"] = f"solver_failure: {_clean(e)}"
+            continue
+        if method == "optimized":
+            full_res = res
+        if method == "uniform_power":  # a PolicyEvaluation
+            if res.status != "ok":
+                row["reason"] = (res.extra.get("binding_class")
+                                 or res.extra.get("reason") or res.status)
+                continue
+            ee, pr_out = res.ee, res.pr_out
+        else:
+            if res.status == "infeasible":
+                row["reason"] = res.binding_class or ""
+                continue
+            if not res.feasible:
+                failed = True
+                row["reason"] = res.status
+                continue
+            ee, pr_out = res.ee_exact, res.outage_exact.pr_out
+            row["q_star"] = float(res.q_star)
+        row.update(feasible=True, reason="", ee=float(ee),
+                   e_tot=float(res.e_tot),
+                   transfers_total=float(res.policy.transfers.sum()),
+                   pr_out_max=float(np.max(pr_out)))
 
-    full_row, full_res = run("optimized", lambda: dinkelbach_optimize(config))
-    if full_row.get("feasible") and mode == "approx":
-        rep = network_outage_report(config, full_res.policy, mode=mode)
-        full_row["pr_out_list"] = np.atleast_1d(rep.pr_out).tolist()
-    elif full_row.get("feasible"):
-        full_row["pr_out_list"] = np.atleast_1d(
-            full_res.outage_exact.pr_out).tolist()
-    rows = [full_row]
-
-    if compare:
-        for label, fn in (
-                ("no_transfer", lambda: no_transfer_policy(config)),
-                ("depleted_energy", lambda: depleted_energy_policy(config)),
-                ("nonc_df", lambda: nonc_df_policy(config))):
-            rows.append(run(label, fn)[0])
-        urow = dict(base, method="uniform_power")
-        try:
-            ev = uniform_power_policy(config, relay_powers_from=full_res)
-            if ev.status == "ok":
-                urow.update(
-                    feasible=True, reason="",
-                    ee=float(ev.ee), e_tot=float(ev.e_tot),
-                    transfers_total=float(ev.policy.transfers.sum()),
-                    pr_out_max=float(np.max(ev.pr_out)),
-                    outage_ok=bool(ev.extra.get("outage_ok")))
-            else:
-                urow.update(feasible=False,
-                            reason=ev.extra.get("binding_class")
-                            or ev.extra.get("reason") or ev.status)
-        except Exception as e:
-            failure = "solver"
-            urow.update(feasible=False,
-                        reason=f"solver_failure: {_clean(e)}")
-        rows.insert(3, urow)  # fixed order: optimized, nt, dep, uniform, nonc
-    return idx, rows, failure
+    if rows[0]["feasible"]:
+        rep = (full_res.outage_exact if mode == "exact" else
+               network_outage_report(config, full_res.policy, mode=mode))
+        for k, p in enumerate(np.atleast_1d(rep.pr_out)):
+            rows[0][f"pr_out_{k + 1}"] = float(p)
+    return idx, rows, failed
 
 
 def _run_points(points):
-    """Run (idx, data, axis, value, mode, compare) tasks, a pool if possible."""
+    """Run _point_worker tasks, in a process pool if possible."""
     if len(points) > 1:
         workers = min(len(points), os.cpu_count() or 1)
         if workers > 1:
@@ -382,10 +366,7 @@ def _run_points(points):
 
 def cmd_optimize(args) -> int:
     config = _load_config(args)
-    try:
-        res = dinkelbach_optimize(config)
-    except RuntimeError as e:
-        return _error_record("solver_failure", EXIT_SOLVER, str(e))
+    res = dinkelbach_optimize(config)
     if res.status == "infeasible":
         return _error_record("infeasible", EXIT_INFEASIBLE,
                              "no feasible policy exists for this scenario",
@@ -406,21 +387,15 @@ def cmd_simulate(args) -> int:
         policy = _load_policy(args.policy)
         source = "file"
     else:
-        try:
-            res = dinkelbach_optimize(config)
-        except RuntimeError as e:
-            return _error_record("solver_failure", EXIT_SOLVER, str(e))
+        res = dinkelbach_optimize(config)
         if res.status == "infeasible":
             return _error_record("infeasible", EXIT_INFEASIBLE,
                                  "no feasible policy exists to simulate",
                                  binding_class=res.binding_class)
         policy, source = res.policy, "optimized"
-    try:
-        mc = estimate_outage(config, policy, trials=args.trials,
-                             rng=RngSpec(args.seed))
-        exact = network_outage_report(config, policy, mode="exact")
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, "invalid_input", str(e))
+    mc = estimate_outage(config, policy, trials=args.trials,
+                         rng=RngSpec(args.seed))
+    exact = network_outage_report(config, policy, mode="exact")
     record = {
         "command": "simulate",
         "trials": int(args.trials),
@@ -443,10 +418,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     config = _load_config(args)
     policy = _load_policy(args.policy)
-    try:
-        report = validate_policy(config, policy)
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, "invalid_input", str(e))
+    report = validate_policy(config, policy)
     record = {
         "command": "validate",
         "feasible": bool(report.feasible),
@@ -457,73 +429,35 @@ def cmd_validate(args) -> int:
     }
     if policy.outage_defined:
         exact = network_outage_report(config, policy, mode="exact")
-        record["outage"] = _outage_block(config, policy, args.outage_mode)
         record["ee_exact"] = float(energy_efficiency(config, policy,
                                                      exact.pr_out))
+        # approximate outage is undefined at a switched-off relay
+        if args.outage_mode == "exact" or np.all(policy.p_r > 0.0):
+            record["outage"] = _outage_block(config, policy,
+                                             args.outage_mode)
     _emit(record, args.out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _sweep_header(K: int):
-    return (["axis", "value", "feasible", "reason", "ee", "e_tot", "q_star",
-             "transfers_total", "pr_out_max"]
-            + [f"pr_out_{k + 1}" for k in range(K)])
-
-
-def cmd_sweep(args) -> int:
+def cmd_table(args) -> int:
+    """sweep and compare: solve each axis point, one CSV row per method."""
     data = _load_scenario_data(args)
-    axis, values = _parse_sweep(args.sweep)
     config = _build_config(data)  # validate the base scenario up front
-    K = config.K
-
-    rows_by_idx = {}
-    tasks = []
-    for i, v in enumerate(values):
-        point = _apply_axis(data, axis, v)
-        if point is None:
-            rows_by_idx[i] = [dict(axis=axis, value=v, feasible=False,
-                                   reason="geometry")]
-            continue
-        _build_config(point)  # reject invalid axis values before solving
-        tasks.append((i, point, axis, v, args.outage_mode, False))
-
-    failure = None
-    for idx, rows, fail in _run_points(tasks):
-        rows_by_idx[idx] = rows
-        failure = failure or fail
-
-    header = _sweep_header(K)
-    out_rows = []
-    for i in range(len(values)):
-        for row in rows_by_idx[i]:
-            pr_list = row.get("pr_out_list") or []
-            out_rows.append(
-                [_cell(row["axis"]), _cell(row["value"]),
-                 _cell(row["feasible"]), _cell(row.get("reason", "")),
-                 _cell(row.get("ee")), _cell(row.get("e_tot")),
-                 _cell(row.get("q_star")), _cell(row.get("transfers_total")),
-                 _cell(row.get("pr_out_max"))]
-                + [_cell(p) for p in pr_list]
-                + [""] * (K - len(pr_list)))
-    _write_csv(args.out, header, out_rows)
-    if failure:
-        return _error_record("solver_failure", EXIT_SOLVER,
-                             "at least one sweep point failed; see the "
-                             "reason column")
-    return EXIT_OK
-
-
-COMPARE_HEADER = ["axis", "value", "method", "feasible", "reason", "ee",
-                  "e_tot", "transfers_total", "pr_out_max"]
-
-
-def cmd_compare(args) -> int:
-    data = _load_scenario_data(args)
-    config = _build_config(data)
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
     else:
         axis, values = "pr_out_0", [config.pr_out_0]
+    if args.compare:
+        methods = COMPARE_METHODS
+        header = ["axis", "value", "method", "feasible", "reason", "ee",
+                  "e_tot", "transfers_total", "pr_out_max"]
+        failed_what = "compared solve"
+    else:
+        methods = COMPARE_METHODS[:1]
+        header = (["axis", "value", "feasible", "reason", "ee", "e_tot",
+                   "q_star", "transfers_total", "pr_out_max"]
+                  + [f"pr_out_{k + 1}" for k in range(config.K)])
+        failed_what = "sweep point"
 
     rows_by_idx = {}
     tasks = []
@@ -532,29 +466,22 @@ def cmd_compare(args) -> int:
         if point is None:
             rows_by_idx[i] = [dict(axis=axis, value=v, method=m,
                                    feasible=False, reason="geometry")
-                              for m in COMPARE_METHODS]
+                              for m in methods]
             continue
-        _build_config(point)
-        tasks.append((i, point, axis, v, args.outage_mode, True))
+        _build_config(point)  # reject invalid axis values before solving
+        tasks.append((i, point, axis, v, args.outage_mode, methods))
 
-    failure = None
-    for idx, rows, fail in _run_points(tasks):
+    any_failed = False
+    for idx, rows, failed in _run_points(tasks):
         rows_by_idx[idx] = rows
-        failure = failure or fail
+        any_failed = any_failed or failed
 
-    out_rows = []
-    for i in range(len(values)):
-        for row in rows_by_idx[i]:
-            out_rows.append(
-                [_cell(row["axis"]), _cell(row["value"]),
-                 _cell(row["method"]), _cell(row["feasible"]),
-                 _cell(row.get("reason", "")), _cell(row.get("ee")),
-                 _cell(row.get("e_tot")), _cell(row.get("transfers_total")),
-                 _cell(row.get("pr_out_max"))])
-    _write_csv(args.out, COMPARE_HEADER, out_rows)
-    if failure:
+    _write_csv(args.out, header,
+               [[_cell(row.get(c)) for c in header]
+                for i in range(len(values)) for row in rows_by_idx[i]])
+    if any_failed:
         return _error_record("solver_failure", EXIT_SOLVER,
-                             "at least one compared solve failed; see the "
+                             f"at least one {failed_what} failed; see the "
                              "reason column")
     return EXIT_OK
 
@@ -608,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--sweep", required=True, action="append",
                     metavar="AXIS=V1,V2,...", help=f"axis in {SWEEP_AXES}")
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_table, compare=False)
 
     sp = sub.add_parser("compare", help="optimizer vs baseline policies")
     _add_common(sp)
     sp.add_argument("--sweep", action="append", metavar="AXIS=V1,V2,...",
                     help="optional axis; default: one point at the "
                     "scenario's own outage threshold")
-    sp.set_defaults(func=cmd_compare)
+    sp.set_defaults(func=cmd_table, compare=True)
     return parser
 
 

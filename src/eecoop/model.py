@@ -278,17 +278,14 @@ def energy_ledger(config: ScenarioConfig, policy: Policy) -> EnergyLedger:
                         slack=available - policy.p_u * config.T)
 
 
-def total_energy(config: ScenarioConfig, policy: Policy,
-                 relay_slot_factor: float = 1.0) -> float:
+def total_energy(config: ScenarioConfig, policy: Policy) -> float:
     """System energy drawn by a policy over the whole horizon, J.
 
     Counts user transmit energy, the fraction of transferred energy lost in
-    transit, and relay transmit energy.  relay_slot_factor scales the relay
-    term for protocols where each relay transmits more than one slot per
-    period (the plain network-coded protocol uses 1).
+    transit, and relay transmit energy (one slot per relay and period).
     """
     e_users = float(policy.p_u.sum()) * config.T
-    e_relays = float(policy.p_r.sum()) * config.T * relay_slot_factor
+    e_relays = float(policy.p_r.sum()) * config.T
     e_lost = (1.0 - config.eta) * float(policy.transfers.sum())
     return e_users + e_lost + e_relays
 

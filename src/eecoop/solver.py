@@ -91,9 +91,10 @@ class SolverOptions:
 class Layout:
     """Flat variable vector: [user log powers, relay log powers, transfers].
 
-    Transfers are indexed by ordered user pairs (i, j), i != j, period-major
-    inside each pair.  The depleted variant eliminates user powers, so the
-    user block may be absent.
+    Transfers are indexed by ordered user pairs (i, j), i != j: row p of
+    `pairs` is (i, j) and row p of `pair_mat` holds that pair's K
+    coordinates.  The depleted variant eliminates user powers, so the user
+    block may be absent.
     """
 
     M: int
@@ -104,7 +105,6 @@ class Layout:
 
     def __post_init__(self):
         M, N, K = self.M, self.N, self.K
-        self.pairs = [(i, j) for i in range(M) for j in range(M) if i != j]
         off = 0
         if self.with_users:
             self.user_idx = off + np.arange(M * K).reshape(M, K)
@@ -113,25 +113,20 @@ class Layout:
             self.user_idx = None
         self.relay_idx = off + np.arange(N * K).reshape(N, K)
         off += N * K
-        self.pair_idx = {}
-        if self.with_transfers:
-            for p, (i, j) in enumerate(self.pairs):
-                self.pair_idx[(i, j)] = off + np.arange(K) + p * K
-            off += len(self.pairs) * K
-        # (pairs, K) index matrix in pair_idx order
-        self.pair_mat = np.array(list(self.pair_idx.values()),
-                                 dtype=int).reshape(-1, K)
-        self.dim = off
+        off_diag = ~np.eye(M if self.with_transfers else 0, dtype=bool)
+        self.pairs = np.argwhere(off_diag)          # (P, 2), row-major
+        self.pair_mat = off + np.arange(len(self.pairs) * K).reshape(-1, K)
+        self.dim = off + self.pair_mat.size
 
     def transfer_array(self, z) -> np.ndarray:
         E = np.zeros((self.K, self.M, self.M))
-        for (i, j), idx in self.pair_idx.items():
-            E[:, i, j] = z[idx]
+        i, j = self.pairs.T
+        E[:, i, j] = z[self.pair_mat].T
         return E
 
     def pack_transfers(self, E, z) -> None:
-        for (i, j), idx in self.pair_idx.items():
-            z[idx] = E[:, i, j]
+        i, j = self.pairs.T
+        z[self.pair_mat] = E[:, i, j].T
 
 
 def transform_policy(policy: Policy, p_min: float = P_MIN):
@@ -386,14 +381,13 @@ class EEProblem:
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
                  options: SolverOptions, *, threshold: float,
                  transfers: bool = True, depleted: bool = False,
-                 tables_weights=None, relay_slot_factor: float = 1.0):
+                 tables_weights=None):
         M, N, K = config.M, config.N, config.K
         self.config = config
         self.coeffs = coeffs
         self.options = options
         self.threshold = float(threshold)
         self.depleted = depleted
-        self.relay_slot_factor = float(relay_slot_factor)
         transfers = transfers and M > 1
         self.layout = Layout(M=M, N=N, K=K, with_users=not depleted,
                              with_transfers=transfers)
@@ -413,31 +407,24 @@ class EEProblem:
         if depleted:
             # pair (i, j) takes 1/T from user i's budget, gives eta/T to j
             self.budget_c0 = arrivals0 / T
-            self.budget_A = np.zeros((M, lay.pair_mat.shape[0]))
-            for p, (i, j) in enumerate(lay.pair_idx):
-                self.budget_A[i, p] = -1.0 / T
-                self.budget_A[j, p] = config.eta / T
+            i, j = lay.pairs.T
+            self.budget_A = np.zeros((M, len(lay.pairs)))
+            self.budget_A[i, np.arange(len(i))] = -1.0 / T
+            self.budget_A[j, np.arange(len(j))] = config.eta / T
             self.period_idx = np.vstack([lay.pair_mat, lay.relay_idx]).T
         else:
             self.period_idx = np.vstack([lay.user_idx, lay.relay_idx]).T
 
-        # Bounds: log-power boxes and transfer boxes.
+        # Bounds: an (upper, lower) row pair on every coordinate, log-power
+        # boxes first, then transfer boxes.
         lo, hi = math.log(options.p_min), math.log(config.p_max)
-        idx, sign, b = [], [], []
-        power_idx = ([] if depleted else list(lay.user_idx.ravel())) \
-            + list(lay.relay_idx.ravel())
-        for d in power_idx:
-            idx += [d, d]
-            sign += [1.0, -1.0]
-            b += [hi, -lo]
         total_energy_cap = float(config.arrivals.sum() + config.Eu_0.sum())
         self.e_cap = max(total_energy_cap * 1.001, 1e-3)
-        for pidx in lay.pair_idx.values():
-            for d in pidx:
-                idx += [d, d]
-                sign += [1.0, -1.0]
-                b += [self.e_cap, 0.0]
-        self.bounds = Bounds(idx, sign, b)
+        n_transfer = lay.pair_mat.size
+        self.bounds = Bounds(
+            np.repeat(np.arange(lay.dim), 2), np.tile([1.0, -1.0], lay.dim),
+            np.concatenate([np.tile([hi, -lo], lay.dim - n_transfer),
+                            np.tile([self.e_cap, 0.0], n_transfer)]))
 
         lin_cols, lin_vals = [], []
         if not depleted:
@@ -449,9 +436,9 @@ class EEProblem:
             A = np.zeros((M, K, lay.dim))
             for i in range(M):
                 C[i][:, lay.user_idx[i]] = T * through
-            for (i, j), pidx in lay.pair_idx.items():
-                A[i][:, pidx] += through
-                A[j][:, pidx] -= config.eta * through
+            sender, receiver = lay.pairs.T[:, :, None]   # (P, 1) by (P, K)
+            A[sender, :, lay.pair_mat] += through.T
+            A[receiver, :, lay.pair_mat] -= config.eta * through.T
             self.energy_rows = EnergyRows(
                 C.reshape(M * K, -1), A.reshape(M * K, -1),
                 np.cumsum(arrivals0, axis=1).ravel(), "causality")
@@ -480,16 +467,15 @@ class EEProblem:
         # Objective pieces.
         scale = M * K * config.alpha0 * T
         exp_idx = list(lay.relay_idx.ravel())
-        exp_base = [T * self.relay_slot_factor] * (N * K)
+        exp_base = [T] * (N * K)
         energy_const = 0.0
         if depleted:
             energy_const += float(arrivals0.sum())
         else:
             exp_idx += list(lay.user_idx.ravel())
             exp_base += [T] * (M * K)
-        for pidx in lay.pair_idx.values():
-            lin_cols += list(pidx)
-            lin_vals += [1.0 - config.eta] * K
+        lin_cols += list(lay.pair_mat.ravel())
+        lin_vals += [1.0 - config.eta] * lay.pair_mat.size
         self.objective = Objective(
             scale, [config.alpha0 * T * w for w in self.table_weights],
             exp_idx, exp_base, lin_cols, lin_vals, energy_const)
@@ -691,9 +677,7 @@ class EEProblem:
         if self.depleted:
             self._seed_depleted_transfers(z)
         else:
-            e0 = min(1e-6, 0.25 * self.e_cap)
-            for pidx in self.layout.pair_idx.values():
-                z[pidx] = e0
+            z[self.layout.pair_mat] = min(1e-6, 0.25 * self.e_cap)
         return z
 
     def _seed_depleted_transfers(self, z):
@@ -760,8 +744,8 @@ class EEProblem:
             # the tightest budget anywhere near the floor
             e0 = min(1e-6, 0.25 * self.e_cap,
                      0.05 * float(budget.min()) / max(M - 1, 1))
-            for (i, j), pidx in self.layout.pair_idx.items():
-                z[pidx[k]] = e0 + pulls[i, j]
+            i, j = self.layout.pairs.T
+            z[self.layout.pair_mat[:, k]] = e0 + pulls[i, j]
 
     def extract_policy(self, z) -> Policy:
         cfg = self.config
@@ -1080,16 +1064,15 @@ def _nc_audit(config: ScenarioConfig, policy: Policy):
 def dinkelbach_optimize(config: ScenarioConfig,
                         options: SolverOptions = None, *,
                         transfers: bool = True, depleted: bool = False,
-                        tables_weights=None, relay_slot_factor: float = 1.0,
-                        audit=None) -> SolveResult:
+                        tables_weights=None, audit=None) -> SolveResult:
     """Maximize energy efficiency and audit the result with exact outage.
 
     The keyword switches select restricted variants used by the baseline
     policies: transfers=False removes inter-user energy transfer variables,
     depleted=True pins per-period consumption to per-period harvest.
-    tables_weights and relay_slot_factor allow a different outage model
-    (used by the orthogonal relaying baseline).  audit overrides the exact
-    feasibility check; the default audits the network-coded outage.
+    tables_weights allows a different outage model (used by the orthogonal
+    relaying baseline).  audit overrides the exact feasibility check; the
+    default audits the network-coded outage.
     """
     options = options or SolverOptions()
     coeffs = compute_link_coefficients(config)
@@ -1101,8 +1084,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
     for _attempt in range(1 + options.max_retries):
         problem = EEProblem(config, coeffs, options, threshold=threshold,
                             transfers=transfers, depleted=depleted,
-                            tables_weights=tables_weights,
-                            relay_slot_factor=relay_slot_factor)
+                            tables_weights=tables_weights)
         try:
             z = phase1(problem, options)
         except InfeasibleError as err:
@@ -1146,9 +1128,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
         result = SolveResult(status=status, policy=policy, q_star=q_star,
                              trace=trace, feasibility=feas,
                              ee_exact=ee_exact,
-                             e_tot=total_energy(
-                                 config, policy,
-                                 relay_slot_factor=relay_slot_factor),
+                             e_tot=total_energy(config, policy),
                              outage_exact=outage_report,
                              threshold_internal=threshold,
                              newton_iters_total=total_iters)

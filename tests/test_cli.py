@@ -206,6 +206,29 @@ class TestValidate:
         assert (rec["outage"] is None) == undefined
         assert (rec["ee_exact"] is None) == undefined
 
+    @pytest.mark.parametrize("mode", ["--exact", "--approx"])
+    def test_switched_off_relay_gets_record(self, toy_path, tmp_path, mode):
+        """A relay power of exactly 0 is a switched-off relay: both modes
+        emit the record and take the exit code from the audit; approximate
+        outage is undefined there, so it is null."""
+        art = tmp_path / "result.json"
+        run_cli(["optimize", "--scenario", toy_path, "--out", art])
+        pol = json.loads(art.read_text())["policy"]
+        pol["p_r"][0][0] = 0.0
+        off = tmp_path / "relay_off.json"
+        off.write_text(json.dumps(pol), encoding="utf-8")
+        code, out = run_cli(["validate", "--scenario", toy_path,
+                             "--policy", off, mode])
+        assert code == 3
+        rec = json.loads(out)
+        assert rec["feasible"] is False
+        assert rec["feasibility"]["worst"]["outage"] > 0.0
+        assert rec["ee_exact"] > 0.0
+        if mode == "--approx":
+            assert rec["outage"] is None
+        else:
+            assert rec["outage"]["mode"] == "exact"
+
     def test_wrong_shape_policy_exits_2(self, toy_path, tmp_path):
         pol = Policy(np.ones((3, 2)), np.ones((2, 2)),
                      np.zeros((2, 3, 3))).to_dict()
@@ -348,6 +371,18 @@ class TestCompare:
         assert [r["value"] for r in rows[:5]] == ["0.05"] * 5
         assert [r["value"] for r in rows[5:]] == ["0.02"] * 5
 
+    def test_geometry_point_rows(self, toy_path):
+        code, out = run_cli(["compare", "--scenario", toy_path,
+                             "--sweep", "delta=-100,0.1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r["method"] for r in rows] == 2 * list(cli.COMPARE_METHODS)
+        for r in rows[:5]:
+            assert (r["value"], r["feasible"], r["reason"]) == (
+                "-100.0", "false", "geometry")
+            assert r["ee"] == r["pr_out_max"] == ""
+        assert rows[5]["feasible"] == "true"
+
     def test_infeasible_baseline_row(self, toy_path):
         code, out = run_cli(["compare", "--scenario", toy_path])
         assert code == 0
@@ -377,3 +412,59 @@ class TestCompare:
                 else:
                     assert float(row[col]) == pytest.approx(
                         float(ref[col]), rel=1e-6)
+
+
+class TestSolverFailure:
+    """A solve that raises: the tables keep their rows and flag them, and
+    main() turns the error into the exit-4 record."""
+
+    @pytest.fixture()
+    def broken_solver(self, monkeypatch):
+        def boom(config, *args, **kwargs):
+            raise RuntimeError("solver  blew\nup")
+        monkeypatch.setattr(cli, "dinkelbach_optimize", boom)
+
+    @staticmethod
+    def error(out):
+        return json.loads(out)["error"]
+
+    def test_sweep_point(self, toy_path, tmp_path, broken_solver):
+        csv_path = tmp_path / "sweep.csv"
+        code, out = run_cli(["sweep", "--scenario", toy_path,
+                             "--sweep", "pr_out_0=0.05", "--out", csv_path])
+        assert code == 4
+        assert self.error(out) == {
+            "code": 4, "kind": "solver_failure",
+            "message": "at least one sweep point failed; see the reason "
+                       "column"}
+        header, rows = parse_csv(csv_path.read_text())
+        assert ",".join(header) == EXPECTED_SWEEP_HEADER
+        assert len(rows) == 1
+        assert rows[0]["feasible"] == "false"
+        assert rows[0]["reason"] == "solver_failure: solver blew up"
+        assert all(rows[0][c] == "" for c in header[4:])
+
+    def test_compare_point(self, toy_path, tmp_path, broken_solver):
+        csv_path = tmp_path / "compare.csv"
+        code, out = run_cli(["compare", "--scenario", toy_path,
+                             "--out", csv_path])
+        assert code == 4
+        assert self.error(out) == {
+            "code": 4, "kind": "solver_failure",
+            "message": "at least one compared solve failed; see the reason "
+                       "column"}
+        header, rows = parse_csv(csv_path.read_text())
+        assert ",".join(header) == EXPECTED_COMPARE_HEADER
+        assert [r["method"] for r in rows] == list(cli.COMPARE_METHODS)
+        # only the CLI's own binding is broken; the baselines solve
+        assert rows[0]["reason"] == "solver_failure: solver blew up"
+        assert rows[0]["ee"] == ""
+        assert all(not r["reason"].startswith("solver_failure")
+                   for r in rows[1:])
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    def test_single_solve_commands(self, toy_path, broken_solver, command):
+        code, out = run_cli([command, "--scenario", toy_path])
+        assert code == 4
+        assert self.error(out) == {"code": 4, "kind": "solver_failure",
+                                   "message": "solver blew up"}

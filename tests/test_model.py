@@ -237,13 +237,6 @@ class TestEnergyTotals:
                      p_r=np.full((2, 2), 0.5), transfers=transfers)
         assert total_energy(cfg, pol) == pytest.approx(6.0 + 2.0 + 0.1)
 
-    def test_relay_slot_factor(self):
-        cfg = make_config()
-        pol = zero_policy(cfg, p_user=1.0, p_relay=1.0)
-        base = total_energy(cfg, pol)
-        doubled = total_energy(cfg, pol, relay_slot_factor=2.0)
-        assert doubled - base == pytest.approx(cfg.N * cfg.K * cfg.T)
-
     def test_energy_efficiency_hand(self):
         cfg = make_config()
         pol = zero_policy(cfg, p_user=1.0, p_relay=1.0)
