@@ -369,6 +369,17 @@ class Objective:
 # problem assembly
 
 
+def _coded_tables(coeffs: LinkCoefficients, M: int, N: int):
+    """(tables, weights) of the network-coded outage: parts A and B as one
+    table, which loses all M messages of a period."""
+    tA, tB = outage_tables(coeffs, M, N)
+    combined = MonomialTable(
+        coef=np.concatenate([tA.coef, tB.coef]),
+        w=np.vstack([tA.w, tB.w]), M=M, N=N, m=coeffs.m,
+        coeffs=tA.coeffs, events=tA.events + tB.events)
+    return [combined], [float(M)]
+
+
 class EEProblem:
     """One convex inner problem: layout, constraint blocks, objective.
 
@@ -395,11 +406,7 @@ class EEProblem:
         T = config.T
 
         if tables_weights is None:
-            tA, tB = outage_tables(coeffs, M, N)
-            combined = MonomialTable(
-                coef=np.concatenate([tA.coef, tB.coef]),
-                w=np.vstack([tA.w, tB.w]), M=M, N=N, m=coeffs.m)
-            tables_weights = ([combined], [float(M)])
+            tables_weights = _coded_tables(coeffs, M, N)
         self.tables, self.table_weights = tables_weights
 
         arrivals0 = config.arrivals.copy()
@@ -1079,6 +1086,11 @@ def dinkelbach_optimize(config: ScenarioConfig,
     q_tol = options.q_tol_abs(config)
     audit = audit or _nc_audit
 
+    coded = tables_weights is None
+    if coded:
+        # built once: every retry below solves the same tables
+        tables_weights = _coded_tables(coeffs, config.M, config.N)
+
     threshold = config.pr_out_0
     last_result = None
     for _attempt in range(1 + options.max_retries):
@@ -1119,7 +1131,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
             # transfer netting changes per-period budgets, which would break
             # the depleted identity consumption == budget, so skip it there
             policy = _cleanup_transfers(config, policy)
-        if tables_weights is None:
+        if coded:
             # the snap test is phrased in terms of the network-coded outage,
             # so leave relays alone when a custom outage model is in use
             policy = _snap_relays(config, policy, config.pr_out_0,

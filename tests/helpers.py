@@ -1,5 +1,6 @@
 """Shared scenario builders and expansion oracles for the test suite."""
 
+import dataclasses
 from itertools import combinations, product
 
 import numpy as np
@@ -40,6 +41,20 @@ def solver_toy(M=2, N=2, K=2, pr_out_0=5e-2, eta=0.8, seed=7, m=1.0,
         omega_g=np.ones(N), d_g=np.full(N, float(d)),
         beta_g=np.full(N, 3.0), N0_g=np.full(N, 1e-9),
         arrivals=arrivals, pr_out_0=pr_out_0, **kw)
+
+
+def tiled_config(ref: ScenarioConfig, M: int, N: int, K: int):
+    """ref's links tiled to M users and N relays: user i and relay j copy
+    ref's user i % ref.M and relay j % ref.N, arrivals and batteries
+    included; the first K periods."""
+    users, relays = np.arange(M) % ref.M, np.arange(N) % ref.N
+    first_hop = {key: getattr(ref, key)[np.ix_(users, relays)]
+                 for key in ("omega_h", "d_h", "beta_h", "N0_h")}
+    second_hop = {key: getattr(ref, key)[relays]
+                  for key in ("omega_g", "d_g", "beta_g", "N0_g")}
+    return dataclasses.replace(
+        ref, M=M, N=N, K=K, arrivals=ref.arrivals[users, :K],
+        Eu_0=ref.Eu_0[users], **first_hop, **second_hop)
 
 
 # ---------------------------------------------------------------------------

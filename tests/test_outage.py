@@ -1,6 +1,7 @@
 """Tests for per-link and network outage probabilities, both the exact
 expressions and the posynomial approximation used by the optimizer."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ from eecoop.model import (
     load_scenario,
 )
 from eecoop.outage import (
+    MAX_TABLE_TERMS,
     MonomialTable,
     build_outage_tables,
     network_outage_approx,
@@ -33,6 +35,7 @@ from helpers import (
     expanded_outage_tables,
     expanded_per_user_tables,
     make_config,
+    tiled_config,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
@@ -399,16 +402,14 @@ class TestRecursionTables:
     def wide_coeffs(M, N):
         """Link coefficients of the bundled reference links tiled to
         (M, N) users and relays."""
-        ref = load_scenario(REFERENCE)
-        coeffs = compute_link_coefficients(ref)
-        relays = np.arange(N) % ref.N
-        return LinkCoefficients(
-            c_u=coeffs.c_u[np.ix_(np.arange(M) % ref.M, relays)],
-            c_r=coeffs.c_r[relays], m=coeffs.m)
+        return compute_link_coefficients(
+            tiled_config(load_scenario(REFERENCE), M, N, 1))
 
-    def test_beyond_expansion_cap(self):
-        """(4, 10) was above the term-by-term expansion's cap; its tables
-        evaluate to the relay recursion run on float weights."""
+    def test_beyond_expansion_cap(self, monkeypatch):
+        """(4, 10) was above the term-by-term expansion's cap; its tables,
+        evaluated term by term, equal the relay recursion run on float
+        weights."""
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", MAX_TABLE_TERMS)
         M, N = 4, 10
         coeffs = self.wide_coeffs(M, N)
         tA, tB = build_outage_tables(coeffs, M, N)
@@ -432,6 +433,80 @@ class TestRecursionTables:
         monkeypatch.setattr(outage, "MAX_TABLE_TERMS", 1_000)
         with pytest.raises(ValueError, match="1000 cap"):
             build_outage_tables(self.wide_coeffs(3, 8), 3, 8)
+
+
+class TestRecursionEvaluator:
+    """Tables that carry their link coefficients evaluate by the relay
+    recursion above RECURSION_MIN_TERMS terms; the same tables without
+    them are the term-by-term reference."""
+
+    @pytest.fixture
+    def everywhere(self, monkeypatch):
+        """Even empty tables (part B with fewer than M relays)."""
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", -1)
+
+    @staticmethod
+    def event_tables(coeffs, M, N):
+        tA, tB = build_outage_tables(coeffs, M, N)
+        tAB = MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
+                            w=np.vstack([tA.w, tB.w]), M=M, N=N, m=coeffs.m,
+                            coeffs=coeffs, events=("A", "B"))
+        return {"A": tA, "B": tB, "A+B": tAB}
+
+    @pytest.mark.parametrize("event", ["A", "B", "A+B"])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("M,N", [(1, 1), (2, 1), (3, 2), (2, 4), (3, 5),
+                                     (3, 8)])
+    def test_matches_terms(self, everywhere, M, N, m, event):
+        """Value, gradient and Hessian of every period against the terms;
+        each column of the batched call bit for bit against the call on
+        that column alone, and value() bit for bit against
+        value_grad_hess()."""
+        rng = np.random.default_rng([M, N, int(10 * m), len(event)])
+        coeffs = LinkCoefficients(c_u=10.0 ** rng.uniform(-6, -1, (M, N)),
+                                  c_r=10.0 ** rng.uniform(-6, -1, N), m=m)
+        table = self.event_tables(coeffs, M, N)[event]
+        terms = dataclasses.replace(table, coeffs=None)
+        assert table._by_recursion() and not terms._by_recursion()
+        x = rng.uniform(-1.0, 3.0, size=(M + N, 4))
+        got, expect = table.value_grad_hess(x), terms.value_grad_hess(x)
+        for g, e in zip(got, expect):
+            np.testing.assert_allclose(g, e, rtol=1e-12, atol=0.0)
+        v, grad, H = got
+        assert np.array_equal(table.value(x), v)
+        for k in range(x.shape[1]):
+            v_k, grad_k, H_k = table.value_grad_hess(x[:, k])
+            assert v_k == v[k] == table.value(x[:, k])
+            assert np.array_equal(grad_k, grad[:, k])
+            assert np.array_equal(H_k, H[k])
+
+    def test_dispatch_by_terms(self):
+        """The reference's 64-term table stays on the term path, the
+        wide-network geometry's 7,408 terms go to the recursion, and
+        tables without link coefficients never do."""
+        ref = compute_link_coefficients(load_scenario(REFERENCE))
+        wide = TestRecursionTables.wide_coeffs(3, 8)
+        small = self.event_tables(ref, 2, 4)["A+B"]
+        large = self.event_tables(wide, 3, 8)["A+B"]
+        assert small.n_terms <= outage.RECURSION_MIN_TERMS < large.n_terms
+        assert not small._by_recursion()
+        assert large._by_recursion()
+        assert not dataclasses.replace(large, coeffs=None)._by_recursion()
+        assert not any(t._by_recursion()
+                       for t in build_per_user_tables(wide, 3, 8))
+
+    def test_overflow_falls_back_to_terms(self, everywhere):
+        """A weight that overflows makes the recursion's states inf or
+        nan; such periods are evaluated term by term."""
+        coeffs = TestRecursionTables.wide_coeffs(2, 4)
+        for table in self.event_tables(coeffs, 2, 4).values():
+            x = np.zeros((6, 2))
+            x[0, 0] = -800.0
+            assert table.value(x)[0] == np.inf
+            v, g, H = table.value_grad_hess(x[:, 1])
+            np.testing.assert_allclose(
+                v, dataclasses.replace(table, coeffs=None).value(x[:, 1]),
+                rtol=1e-12)
 
 
 class TestNetworkOutageApprox:

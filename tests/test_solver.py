@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eecoop import outage
+from eecoop import solver as solver_mod
 from eecoop.baselines import (
     build_per_user_tables,
     depleted_energy_policy,
@@ -32,7 +34,7 @@ from eecoop.solver import (
     phase1,
     transform_policy,
 )
-from helpers import make_config, solver_toy
+from helpers import make_config, solver_toy, tiled_config
 
 
 def grid_oracle_single_link(cfg, n=240, rounds=3):
@@ -375,6 +377,34 @@ class TestAuditIntegration:
         ledger = energy_ledger(cfg, res.policy)
         assert ledger.min_slack >= -1e-9
 
+    def test_retry_reuses_tables(self, monkeypatch):
+        """An outage-only audit failure re-solves at 0.9 times the
+        threshold on the tables of the first attempt: one build per call,
+        and the relay snap still runs on every attempt."""
+        builds, snaps, audits = [], [], []
+        build, snap = solver_mod.outage_tables, solver_mod._snap_relays
+        monkeypatch.setattr(solver_mod, "outage_tables",
+                            lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(solver_mod, "_snap_relays",
+                            lambda *a: snaps.append(a) or snap(*a))
+
+        def audit(config, policy):
+            feas, report, ee = solver_mod._nc_audit(config, policy)
+            audits.append(feas.feasible)
+            if len(audits) == 1:
+                feas.feasible = False
+                feas.worst = dict.fromkeys(feas.worst, 0.0)
+                feas.worst["outage"] = 1e-12
+            return feas, report, ee
+
+        cfg = solver_toy()
+        res = dinkelbach_optimize(cfg, audit=audit)
+        assert res.status == "converged"
+        assert res.threshold_internal == pytest.approx(0.9 * cfg.pr_out_0,
+                                                       rel=1e-12)
+        assert len(audits) == len(snaps) == 2
+        assert len(builds) == 1
+
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
     / "reference_m2n4.json"
@@ -496,6 +526,33 @@ class TestBarrierAssembly:
         self.check(lambda zz: prob.soft_barrier_fgh(zz, 3.0, sig),
                    lambda zz: prob.soft_barrier_value(zz, 3.0, sig),
                    zs, scale)
+
+
+class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
+    """The same checks with every outage table that carries its link
+    coefficients evaluated by the relay recursion instead of term by term
+    (per-user tables carry none and stay on the terms)."""
+
+    @pytest.fixture(autouse=True)
+    def recursion_everywhere(self, monkeypatch):
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", 0)
+
+    def problem(self, cfg, variant):
+        prob = super().problem(cfg, variant)
+        by_recursion = [t._by_recursion() for t in prob.tables]
+        assert all(by_recursion) == (variant != "nonc_df")
+        assert any(by_recursion) == (variant != "nonc_df")
+        return prob
+
+
+class TestWideNetwork:
+    def test_m4_n12_solves_and_passes_audit(self):
+        """The reference links tiled to M=4 users and N=12 relays: tables
+        of 1,325 + 864,903 terms, evaluated by the relay recursion."""
+        cfg = tiled_config(load_scenario(REFERENCE), 4, 12, 3)
+        res = dinkelbach_optimize(cfg)
+        assert res.status == "converged"
+        assert validate_policy(cfg, res.policy).feasible
 
 
 class TestReferencePin:
