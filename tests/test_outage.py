@@ -31,6 +31,7 @@ from eecoop.outage import (
     relay_decode_prob,
     relay_recursion,
 )
+from eecoop.solver import _coded_tables
 from helpers import (
     expanded_outage_tables,
     expanded_per_user_tables,
@@ -447,10 +448,9 @@ class TestRecursionEvaluator:
 
     @staticmethod
     def event_tables(coeffs, M, N):
+        """Parts A and B, and the solver's A+B table."""
         tA, tB = build_outage_tables(coeffs, M, N)
-        tAB = MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
-                            w=np.vstack([tA.w, tB.w]), M=M, N=N, m=coeffs.m,
-                            coeffs=coeffs, events=("A", "B"))
+        ([tAB], _) = _coded_tables(coeffs, M, N)
         return {"A": tA, "B": tB, "A+B": tAB}
 
     @pytest.mark.parametrize("event", ["A", "B", "A+B"])
