@@ -147,7 +147,6 @@ def network_outage_exact(rho, pe_relay, M: int):
     return np.minimum(pr_A + pr_B, 1.0), pr_A, pr_B
 
 
-@functools.lru_cache(maxsize=None)
 def _transfer_patterns(M: int):
     """relay_recursion as matrices on the (M + 1) * M states, flattened.
 
@@ -163,7 +162,6 @@ def _transfer_patterns(M: int):
     P = np.repeat(eye[..., None], 3, axis=-1)
     relay_recursion([tuple(np.eye(3))], P)
     E = np.ascontiguousarray(P.reshape(S, S, 3).transpose(2, 0, 1))
-    E.flags.writeable = read.flags.writeable = False
     return E, read
 
 
