@@ -32,7 +32,7 @@ from .outage import (
     network_outage_exact,
     network_outage_report,
 )
-from .solver import SolveResult, SolverOptions, dinkelbach_optimize
+from .solver import SolveResult, dinkelbach_optimize
 
 BASELINE_KINDS = ("depleted_energy", "no_transfer", "uniform_power",
                   "nonc_df")
@@ -72,14 +72,12 @@ def as_evaluation(method: str, res: SolveResult) -> PolicyEvaluation:
                "outer_iterations": len(res.trace)})
 
 
-def no_transfer_policy(config: ScenarioConfig,
-                       options: SolverOptions = None) -> SolveResult:
+def no_transfer_policy(config: ScenarioConfig) -> SolveResult:
     """Optimized powers with inter-user energy transfer disabled."""
-    return dinkelbach_optimize(config, options, transfers=False)
+    return dinkelbach_optimize(config, transfers=False)
 
 
 def depleted_energy_policy(config: ScenarioConfig,
-                           options: SolverOptions = None,
                            allow_transfers: bool = False) -> SolveResult:
     """Users spend each period exactly what that period provides.
 
@@ -91,12 +89,12 @@ def depleted_energy_policy(config: ScenarioConfig,
     pinned budgets may additionally be reshaped by optimized inter-user
     transfers.
     """
-    return dinkelbach_optimize(config, options, depleted=True,
+    return dinkelbach_optimize(config, depleted=True,
                                transfers=allow_transfers)
 
 
-def uniform_power_policy(config: ScenarioConfig, relay_powers_from=None,
-                         options: SolverOptions = None) -> PolicyEvaluation:
+def uniform_power_policy(config: ScenarioConfig,
+                         relay_powers_from=None) -> PolicyEvaluation:
     """Every user transmits the horizon-average power in every period.
 
     The level spreads the total harvested arrivals over all user slots
@@ -110,7 +108,7 @@ def uniform_power_policy(config: ScenarioConfig, relay_powers_from=None,
     M, K, T = config.M, config.K, config.T
     level = min(float(config.arrivals.sum()) / (M * K * T), config.p_max)
     if relay_powers_from is None:
-        relay_powers_from = dinkelbach_optimize(config, options)
+        relay_powers_from = dinkelbach_optimize(config)
     if isinstance(relay_powers_from, SolveResult):
         if relay_powers_from.status == "infeasible":
             return PolicyEvaluation(
@@ -260,8 +258,7 @@ def _nonc_audit(config: ScenarioConfig, policy: Policy):
     return feas, PerUserOutageReport(pr_out=out), bits / e_tot
 
 
-def nonc_df_policy(config: ScenarioConfig,
-                   options: SolverOptions = None) -> SolveResult:
+def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
     """Energy-efficiency optimum of plain decode-and-forward relaying.
 
     Without network coding a relay transmission carries a single user's
@@ -274,8 +271,7 @@ def nonc_df_policy(config: ScenarioConfig,
     coeffs = compute_link_coefficients(config)
     tables = build_per_user_tables(coeffs, config.M, config.N)
     return dinkelbach_optimize(
-        config, options, tables_weights=(tables, [1.0] * config.M),
-        audit=_nonc_audit)
+        config, tables_weights=(tables, [1.0] * config.M), audit=_nonc_audit)
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,6 @@ OUTAGE_AUDIT_RTOL = 1e-6
 
 
 def validate_policy(config: ScenarioConfig, policy: Policy,
-                    tol_feas: float = TOL_FEAS, p_min: float = P_MIN,
                     check_outage: bool = True) -> FeasibilityReport:
     """Audit a policy: power bounds, transfer sanity, causality, exact outage.
 
@@ -359,17 +358,17 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
             raise ValueError(f"policy.{name} contains non-finite entries")
 
     # Power bounds.  Strict positivity for users: a zero is flagged no
-    # matter how small tol_feas is.
+    # matter how small TOL_FEAS is.
     if np.any(policy.p_u <= 0.0):
-        worst["power_bounds"] = max(worst["power_bounds"], p_min)
+        worst["power_bounds"] = max(worst["power_bounds"], P_MIN)
         messages.append("user power must be strictly positive")
-    lo = np.maximum(0.0, p_min - policy.p_u[policy.p_u > 0.0])
-    if lo.size and lo.max() > tol_feas:
+    lo = np.maximum(0.0, P_MIN - policy.p_u[policy.p_u > 0.0])
+    if lo.size and lo.max() > TOL_FEAS:
         worst["power_bounds"] = max(worst["power_bounds"], float(lo.max()))
         messages.append("user power below the minimum power floor")
     for name, arr in (("user", policy.p_u), ("relay", policy.p_r)):
         over = float(np.max(arr - config.p_max, initial=0.0))
-        if over > tol_feas:
+        if over > TOL_FEAS:
             worst["power_bounds"] = max(worst["power_bounds"], over)
             messages.append(f"{name} power exceeds p_max by {over:.3e} W")
     neg_r = float(np.max(-policy.p_r, initial=0.0))
@@ -379,11 +378,11 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
 
     # Transfers: non-negative, zero diagonal.
     neg_t = float(np.max(-policy.transfers, initial=0.0))
-    if neg_t > tol_feas:
+    if neg_t > TOL_FEAS:
         worst["transfer_bounds"] = max(worst["transfer_bounds"], neg_t)
         messages.append("negative energy transfer")
     diag = np.abs(np.diagonal(policy.transfers, axis1=1, axis2=2))
-    if float(diag.max(initial=0.0)) > tol_feas:
+    if float(diag.max(initial=0.0)) > TOL_FEAS:
         worst["transfer_bounds"] = max(worst["transfer_bounds"],
                                        float(diag.max()))
         messages.append("self transfer on the diagonal")
@@ -392,7 +391,7 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
     ledger = energy_ledger(config, policy)
     deficit = float(np.max(policy.p_u * config.T - ledger.available,
                            initial=0.0))
-    if deficit > tol_feas:
+    if deficit > TOL_FEAS:
         worst["causality"] = deficit
         i, k = np.unravel_index(
             np.argmax(policy.p_u * config.T - ledger.available),

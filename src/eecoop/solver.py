@@ -25,8 +25,9 @@ matrix in one block add over the periods' variable indices.  The depleted
 variant's log-budget user coordinates are folded in by a Jacobian and a
 curvature term.  Causality and budget rows are two dense matrices, one of
 exponential and one of linear coefficients, so their Hessian is one
-Jacobian product plus a diagonal.  barrier_value computes the same value
-as barrier_fgh by the same operations, bit for bit.
+Jacobian product plus a diagonal.  Each barrier form is one pass whose
+derivatives are optional, so barrier_value is barrier_fgh's value by
+construction, bit for bit, as the stage stop rule requires.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .model import (
+    OUTAGE_AUDIT_RTOL,
     P_MIN,
     TOL_FEAS,
     LinkCoefficients,
@@ -54,6 +56,14 @@ INF = float("inf")
 # A Newton stage has converged once its whole Armijo margin 0.25 * lambda^2
 # is below this share of |f|: f cannot resolve further progress there.
 F_RESOLUTION = 64.0 * np.finfo(float).eps
+MAX_OUTER = 50          # Dinkelbach iterations
+KKT_TOL = 1e-6          # duality-gap target of the barrier method
+BARRIER_MU = 10.0       # barrier parameter growth factor
+NEWTON_TOL = 1e-9       # half squared Newton decrement per stage
+MAX_NEWTON = 80         # Newton iterations per barrier stage
+T0 = 1.0                # initial barrier parameter
+MAX_RETRIES = 3         # internal threshold shrinks after an audit failure
+PHASE1_MARGIN = 1e-3    # scaled strict-feasibility margin
 
 
 class InfeasibleError(Exception):
@@ -67,19 +77,15 @@ class InfeasibleError(Exception):
 
 @dataclass
 class SolverOptions:
-    """Tolerances and loop limits for the fractional-programming solver."""
+    """The Dinkelbach stop tolerance, the one solver setting a caller picks.
+
+    The barrier method's tolerances and loop limits are module constants,
+    and the value its line search compares comes from the same pass as the
+    Newton step's derivatives.
+    """
 
     q_tol: float = None        # |numerator - q*denominator| stop, bits;
                                # defaults to 1e-6 * M * K * alpha0 * T
-    max_outer: int = 50        # Dinkelbach iterations
-    kkt_tol: float = 1e-6      # duality-gap target of the barrier method
-    barrier_mu: float = 10.0   # barrier parameter growth factor
-    newton_tol: float = 1e-9   # half squared Newton decrement per stage
-    max_newton: int = 80       # Newton iterations per barrier stage
-    t0: float = 1.0            # initial barrier parameter
-    p_min: float = P_MIN       # smallest representable power, W
-    max_retries: int = 3       # internal threshold shrinks after audit fail
-    phase1_margin: float = 1e-3  # scaled strict-feasibility margin
 
     def q_tol_abs(self, config: ScenarioConfig) -> float:
         if self.q_tol is not None:
@@ -129,15 +135,15 @@ class Layout:
         z[self.pair_mat] = E[:, i, j].T
 
 
-def transform_policy(policy: Policy, p_min: float = P_MIN):
+def transform_policy(policy: Policy):
     """Log-power coordinates of a policy: (x_tilde, transfers).
 
     x_tilde stacks user rows then relay rows, shape (M+N, K).  Requires all
-    powers >= p_min; a switched-off relay cannot be represented in log
+    powers >= P_MIN; a switched-off relay cannot be represented in log
     coordinates.
     """
-    if np.any(policy.p_u < p_min) or np.any(policy.p_r < p_min):
-        raise ValueError(f"all powers must be >= {p_min} to take logs")
+    if np.any(policy.p_u < P_MIN) or np.any(policy.p_r < P_MIN):
+        raise ValueError(f"all powers must be >= {P_MIN} to take logs")
     x = np.log(np.vstack([policy.p_u, policy.p_r]))
     return x, policy.transfers.copy()
 
@@ -155,6 +161,8 @@ def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
 # Every inequality is written g(z) <= 0.  In phase 1 a block marked soft is
 # relaxed to g(z) <= s * sigma with a shared slack variable s appended to z;
 # the barrier denominator is then (s * sigma - g) instead of (-g).
+# Each block's barrier returns its value and, only when grad is given,
+# adds its derivatives to grad and H.
 
 
 def _denom(g, soft):
@@ -183,13 +191,10 @@ class Bounds:
     def values(self, z):
         return self.sign * z[self.idx] - self.b
 
-    def phi(self, z):
-        return _log_barrier(-self.values(z))
-
-    def barrier(self, z, grad, H):
+    def barrier(self, z, grad=None, H=None):
         denom = -self.values(z)
         acc = _log_barrier(denom)
-        if np.isfinite(acc):
+        if grad is not None and np.isfinite(acc):
             np.add.at(grad, self.idx, self.sign / denom)
             np.add.at(H, (self.idx, self.idx), 1.0 / denom ** 2)
         return acc
@@ -223,15 +228,12 @@ class EnergyRows:
     def values(self, z):
         return self._rows(z, self._exp_terms(z))
 
-    def phi(self, z, soft=None):
-        return _log_barrier(_denom(self.values(z), soft))
-
-    def barrier(self, z, grad, H, soft=None):
+    def barrier(self, z, grad=None, H=None, soft=None):
         E = self._exp_terms(z)
         d = _denom(self._rows(z, E), soft)
         acc = _log_barrier(d)
-        if not np.isfinite(acc):
-            return INF
+        if grad is None or not np.isfinite(acc):
+            return acc
         # row Jacobians over z, the slack column last when soft
         J = E + self.A
         if soft is not None:
@@ -279,14 +281,11 @@ class OutageCons:
             return np.full(self.n, INF)
         return (ev.values - self.thr).T.ravel()
 
-    def phi(self, ev, soft=None):
-        return _log_barrier(_denom(self.values(ev), soft))
-
-    def barrier(self, ev, grad, H, soft=None):
+    def barrier(self, ev, grad=None, H=None, soft=None):
         d = _denom(self.values(ev), soft)
         acc = _log_barrier(d)
-        if not np.isfinite(acc):
-            return INF
+        if grad is None or not np.isfinite(acc):
+            return acc
         d = d.reshape(-1, len(ev.grads)).T                  # (tables, K)
         for g_t, h_t, d_t in zip(ev.grads, ev.hessians, d):
             grad[ev.idx] += g_t / d_t[:, None]
@@ -341,23 +340,23 @@ class Objective:
             return energy, -INF
         return energy, self.scale - self._lost_bits(ev)
 
-    def value(self, z, q, ev):
-        if ev is None:
-            return INF
-        return (self._lost_bits(ev) + q * self._energy(z)[0]) / self.scale
-
-    def fgh(self, z, q, ev):
+    def fgh(self, z, q, ev, derivs=True):
+        """(value, gradient, Hessian) at z, or (value, None, None) without
+        derivs; the value is INF when ev is None."""
+        energy, e = self._energy(z)
+        f = INF if ev is None \
+            else (self._lost_bits(ev) + q * energy) / self.scale
+        if not derivs:
+            return f, None, None
         D = z.shape[0]
         grad = np.zeros(D)
         H = np.zeros((D, D))
-        energy, e = self._energy(z)
         if self.lin_cols.size:
             np.add.at(grad, self.lin_cols, q * self.lin_vals / self.scale)
         np.add.at(grad, self.exp_idx, q * e / self.scale)
         np.add.at(H, (self.exp_idx, self.exp_idx), q * e / self.scale)
         if ev is None:
-            return INF, grad, H
-        f = (self._lost_bits(ev) + q * energy) / self.scale
+            return f, grad, H
         w = self.table_bits / self.scale
         for w_t, g_t, h_t in zip(w, ev.grads, ev.hessians):
             grad[ev.idx] += w_t * g_t
@@ -390,13 +389,12 @@ class EEProblem:
     """
 
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
-                 options: SolverOptions, *, threshold: float,
+                 *, threshold: float,
                  transfers: bool = True, depleted: bool = False,
                  tables_weights=None):
         M, N, K = config.M, config.N, config.K
         self.config = config
         self.coeffs = coeffs
-        self.options = options
         self.threshold = float(threshold)
         self.depleted = depleted
         transfers = transfers and M > 1
@@ -424,7 +422,7 @@ class EEProblem:
 
         # Bounds: an (upper, lower) row pair on every coordinate, log-power
         # boxes first, then transfer boxes.
-        lo, hi = math.log(options.p_min), math.log(config.p_max)
+        lo, hi = math.log(P_MIN), math.log(config.p_max)
         total_energy_cap = float(config.arrivals.sum() + config.Eu_0.sum())
         self.e_cap = max(total_energy_cap * 1.001, 1e-3)
         n_transfer = lay.pair_mat.size
@@ -452,7 +450,7 @@ class EEProblem:
         else:
             # eliminated powers must stay inside the power box, two rows
             # per (period, user):
-            # budget/T >= p_min  ->  -budget_A @ e_k <= c0 - p_min
+            # budget/T >= P_MIN  ->  -budget_A @ e_k <= c0 - P_MIN
             # budget/T <= p_max  ->   budget_A @ e_k <= p_max - c0
             A = np.zeros((K, M, lay.dim))
             for k in range(K):
@@ -461,7 +459,7 @@ class EEProblem:
             self.energy_rows = EnergyRows(
                 np.zeros((2 * K * M, lay.dim)),
                 np.stack([-A, A], axis=2).reshape(2 * K * M, -1),
-                np.stack([c0 - options.p_min, config.p_max - c0],
+                np.stack([c0 - P_MIN, config.p_max - c0],
                          axis=2).ravel(), "power_budget")
             # user energy = sum of budgets: linear in transfers
             lin_cols = list(lay.pair_mat.T.ravel())
@@ -546,74 +544,61 @@ class EEProblem:
                            H_pr],
                           [H_pr.swapaxes(-1, -2), hessians[..., M:, M:]]]))
 
-    def _blocks(self, z, ev, sig):
-        """(block, argument, soft) for the energy rows, which read z, and
-        the outage block, which reads the shared TableEval ev; sig (class
-        -> scale) softens both with the slack z[-1]."""
-        for blk, at in ((self.energy_rows, z), (self.outage_cons, ev)):
-            yield blk, at, None if sig is None else \
-                (z[-1], z.size - 1, sig[blk.soft_class])
+    def _barrier(self, z, t, derivs, q=None, sig=None):
+        """One barrier pass: (value, grad, H), or (value, None, None)
+        without derivs.
 
-    def _blocks_barrier(self, z, ev, f, grad, H, sig=None):
-        """f plus the block barriers, derivatives added to grad and H."""
-        for blk, at, soft in self._blocks(z, ev, sig):
-            phi = blk.barrier(at, grad, H, soft)
-            if not np.isfinite(phi):
-                return INF
-            f += phi
-        return f
-
-    def _blocks_phi(self, z, ev, f, sig=None):
-        for blk, at, soft in self._blocks(z, ev, sig):
-            phi = blk.phi(at, soft)
-            if not np.isfinite(phi):
-                return INF
-            f += phi
-        return f
-
-    def barrier_fgh(self, z, q, t):
-        ev = self.tables_at(z, derivs=True)
-        f, grad, H = self.objective.fgh(z, q, ev)
-        if not np.isfinite(f):
-            return INF, grad, H
-        f *= t
-        grad *= t
-        H *= t
+        Without sig it is the inner barrier t * f0(z) + phi(z) at parameter
+        q.  With sig (class -> slack scale) it is the phase-1 barrier
+        t * s + phi(z, s) at z = [z, s].  The value takes the same
+        operations with or without derivatives, so barrier_value rounds
+        exactly like barrier_fgh.
+        """
+        if sig is None:
+            ev = self.tables_at(z, derivs)
+            f, grad, H = self.objective.fgh(z, q, ev, derivs)
+            if not np.isfinite(f):
+                return INF, grad, H
+            f *= t
+            if derivs:
+                grad *= t
+                H *= t
+        else:
+            f, grad, H = t * z[-1], None, None
+            if derivs:
+                grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
+                grad[-1] = t
         phi = self.bounds.barrier(z, grad, H)
         if not np.isfinite(phi):
             return INF, grad, H
-        return self._blocks_barrier(z, ev, f + phi, grad, H), grad, H
-
-    def barrier_value(self, z, q, t):
-        ev = self.tables_at(z)
-        f = self.objective.value(z, q, ev)
-        if not np.isfinite(f):
-            return INF
-        f *= t
-        phi = self.bounds.phi(z)
-        if not np.isfinite(phi):
-            return INF
-        return self._blocks_phi(z, ev, f + phi)
-
-    def soft_barrier_fgh(self, zs, t, sig):
-        """Phase-1 barrier t * s + phi(z, s) at zs = [z, s], with its
-        derivatives; sig scales the slack per constraint class."""
-        grad = np.zeros(zs.size)
-        H = np.zeros((zs.size, zs.size))
-        grad[-1] = t
-        phi = self.bounds.barrier(zs, grad, H)
-        if not np.isfinite(phi):
-            return INF, grad, H
-        f = self._blocks_barrier(zs, self.tables_at(zs, derivs=True),
-                                 t * zs[-1] + phi, grad, H, sig)
+        f += phi
+        if sig is not None:
+            # phase 1 leaves the tables unevaluated outside the power box
+            ev = self.tables_at(z, derivs)
+        # the energy rows read z, the outage block the shared TableEval;
+        # sig softens both with the slack z[-1]
+        for blk, at in ((self.energy_rows, z), (self.outage_cons, ev)):
+            soft = None if sig is None else \
+                (z[-1], z.size - 1, sig[blk.soft_class])
+            phi = blk.barrier(at, grad, H, soft)
+            if not np.isfinite(phi):
+                return INF, grad, H
+            f += phi
         return f, grad, H
 
+    def barrier_fgh(self, z, q, t):
+        return self._barrier(z, t, True, q)
+
+    def barrier_value(self, z, q, t):
+        return self._barrier(z, t, False, q)[0]
+
+    def soft_barrier_fgh(self, zs, t, sig):
+        """Phase-1 barrier at zs = [z, s] with its derivatives; sig scales
+        the slack per constraint class."""
+        return self._barrier(zs, t, True, sig=sig)
+
     def soft_barrier_value(self, zs, t, sig):
-        phi = self.bounds.phi(zs)
-        if not np.isfinite(phi):
-            return INF
-        return self._blocks_phi(zs, self.tables_at(zs), t * zs[-1] + phi,
-                                sig)
+        return self._barrier(zs, t, False, sig=sig)[0]
 
     def constraint_values(self, z):
         """(soft class, g) per constraint block; g < 0 is strictly inside."""
@@ -647,7 +632,7 @@ class EEProblem:
             x = np.full(n_vars, xval)
             return max(float(t.value(x)) for t in self.tables)
 
-        lo = math.log(10.0 * self.options.p_min)
+        lo = math.log(10.0 * P_MIN)
         hi = math.log(0.999 * cfg.p_max)
         if worst(hi) > target:
             return hi
@@ -672,8 +657,7 @@ class EEProblem:
         powers; its transfers are seeded per period instead.
         """
         cfg = self.config
-        opt = self.options
-        lo, hi = math.log(opt.p_min), math.log(cfg.p_max)
+        lo, hi = math.log(P_MIN), math.log(cfg.p_max)
         margin = 1e-4 * (hi - lo)
         z = np.zeros(self.layout.dim)
         x_all = float(np.clip(self._uniform_outage_level(),
@@ -701,7 +685,7 @@ class EEProblem:
         cfg = self.config
         M, K = cfg.M, cfg.K
         eta = cfg.eta
-        floor = self.options.p_min * cfg.T
+        floor = P_MIN * cfg.T
         arrivals0 = cfg.arrivals.copy()
         arrivals0[:, 0] += cfg.Eu_0
         for k in range(K):
@@ -837,43 +821,40 @@ class InnerResult:
     t_final: float
 
 
-def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
-                options: SolverOptions = None) -> InnerResult:
+def inner_solve(problem: EEProblem, q: float, z0: np.ndarray) -> InnerResult:
     """Barrier path following for the convex inner problem at parameter q.
 
     z0 must be strictly feasible.  Returns the central-path point whose
     duality-gap estimate (constraint count / barrier parameter) is at or
-    below kkt_tol times the constraint count scale.
+    below KKT_TOL.
     """
-    options = options or problem.options
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
     z = z0.copy()
-    t = options.t0
+    t = T0
     total = 0
     while True:
         z, it, _conv = _damped_newton(
             z,
             lambda zz: problem.barrier_fgh(zz, q, t),
             lambda zz: problem.barrier_value(zz, q, t),
-            options.newton_tol, options.max_newton)
+            NEWTON_TOL, MAX_NEWTON)
         total += it
-        if problem.n_con / t <= options.kkt_tol:
+        if problem.n_con / t <= KKT_TOL:
             break
-        t *= options.barrier_mu
-    return InnerResult(z=z, v_prime_norm=problem.objective.value(
-                           z, q, problem.tables_at(z)),
+        t *= BARRIER_MU
+    return InnerResult(z=z, v_prime_norm=problem.objective.fgh(
+                           z, q, problem.tables_at(z), derivs=False)[0],
                        newton_iters=total, t_final=t)
 
 
-def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
+def phase1(problem: EEProblem) -> np.ndarray:
     """Find a strictly feasible point or certify infeasibility.
 
     Minimizes a shared scaled slack s over the soft constraints g <= s*sigma
     while keeping hard bounds exact.  Succeeds once s drops below the
     margin; declares infeasibility once the duality gap proves s* > 0.
     """
-    options = options or problem.options
     z = problem.initial_point()
     # Effective per-class scales.  Base sigmas make the classes mutually
     # comparable, but a hopeless threshold can leave a class violated by
@@ -889,7 +870,7 @@ def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
         if np.isfinite(raw):
             sig[cls] = max(sig[cls], raw)
     svals = np.concatenate([g / sig[cls] for cls, g in blocks])
-    if float(svals.max()) < -options.phase1_margin:
+    if float(svals.max()) < -PHASE1_MARGIN:
         return z
     # the slack must exceed the worst violation by more than one ULP,
     # or the barrier evaluates ln(0) when violations are huge
@@ -907,22 +888,22 @@ def phase1(problem: EEProblem, options: SolverOptions = None) -> np.ndarray:
             zs,
             lambda zz: problem.soft_barrier_fgh(zz, t, sig),
             lambda zz: problem.soft_barrier_value(zz, t, sig),
-            options.newton_tol, options.max_newton)
+            NEWTON_TOL, MAX_NEWTON)
         any_converged = any_converged or conv
         s = zs[-1]
-        if s < -options.phase1_margin:
+        if s < -PHASE1_MARGIN:
             return zs[:-1]
         # the duality gap bounds the optimal slack: s* >= s - n/t, but
         # only at a converged central-path point; a stalled Newton
         # leaves s stale
         if conv and s - n_ph1 / t > 0.0:
             break
-        if conv and s < 0.0 and s - n_ph1 / t > -options.phase1_margin:
+        if conv and s < 0.0 and s - n_ph1 / t > -PHASE1_MARGIN:
             # strictly feasible, and provably no point clears the full
             # margin; pushing t further only drives the active slacks
             # below floating-point resolution, so accept this interior
             return zs[:-1]
-        t *= options.barrier_mu
+        t *= BARRIER_MU
     if not any_converged:
         raise RuntimeError("phase 1 stalled: no barrier stage converged, "
                            "so feasibility could not be decided")
@@ -958,8 +939,7 @@ def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
         raise ValueError("x_tilde must have shape (M+N, K)")
     if transfers.shape != (K, config_M, config_M):
         raise ValueError("transfers must have shape (K, M, M)")
-    options = SolverOptions()
-    problem = EEProblem(config, coeffs, options, threshold=config.pr_out_0,
+    problem = EEProblem(config, coeffs, threshold=config.pr_out_0,
                         transfers=True)
     lay = problem.layout
     z = np.zeros(lay.dim)
@@ -1046,16 +1026,16 @@ def _cleanup_transfers(config: ScenarioConfig, policy: Policy) -> Policy:
     return pol
 
 
-def _snap_relays(config: ScenarioConfig, policy: Policy, threshold: float,
-                 p_min: float) -> Policy:
-    """Zero relay powers that sit at the numerical floor, if outage allows."""
-    near_zero = policy.p_r < 10.0 * p_min
+def _snap_relays(config: ScenarioConfig, policy: Policy) -> Policy:
+    """Zero relay powers that sit at the numerical floor, if exact outage
+    still passes the audit's limit pr_out_0 * (1 + OUTAGE_AUDIT_RTOL)."""
+    near_zero = policy.p_r < 10.0 * P_MIN
     if not np.any(near_zero):
         return policy
     trial = policy.copy()
     trial.p_r[near_zero] = 0.0
     report = network_outage_report(config, trial, mode="exact")
-    if np.all(report.pr_out <= threshold * (1.0 + 1e-6)):
+    if np.all(report.pr_out <= config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)):
         return trial
     return policy
 
@@ -1093,12 +1073,12 @@ def dinkelbach_optimize(config: ScenarioConfig,
 
     threshold = config.pr_out_0
     last_result = None
-    for _attempt in range(1 + options.max_retries):
-        problem = EEProblem(config, coeffs, options, threshold=threshold,
+    for _attempt in range(1 + MAX_RETRIES):
+        problem = EEProblem(config, coeffs, threshold=threshold,
                             transfers=transfers, depleted=depleted,
                             tables_weights=tables_weights)
         try:
-            z = phase1(problem, options)
+            z = phase1(problem)
         except InfeasibleError as err:
             return SolveResult(status="infeasible",
                                binding_class=err.binding_class,
@@ -1109,8 +1089,8 @@ def dinkelbach_optimize(config: ScenarioConfig,
         trace = []
         status = "max_iterations"
         total_iters = 0
-        for _outer in range(options.max_outer):
-            res = inner_solve(problem, q, z, options)
+        for _outer in range(MAX_OUTER):
+            res = inner_solve(problem, q, z)
             z = res.z
             energy, bits = problem.objective.energy_and_bits(
                 z, problem.tables_at(z))
@@ -1134,8 +1114,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
         if coded:
             # the snap test is phrased in terms of the network-coded outage,
             # so leave relays alone when a custom outage model is in use
-            policy = _snap_relays(config, policy, config.pr_out_0,
-                                  options.p_min)
+            policy = _snap_relays(config, policy)
         feas, outage_report, ee_exact = audit(config, policy)
         result = SolveResult(status=status, policy=policy, q_star=q_star,
                              trace=trace, feasibility=feas,

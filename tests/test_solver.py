@@ -16,11 +16,14 @@ from eecoop.baselines import (
     nonc_df_policy,
 )
 from eecoop.model import (
+    OUTAGE_AUDIT_RTOL,
+    P_MIN,
     Policy,
     compute_link_coefficients,
     energy_ledger,
     load_scenario,
     validate_policy,
+    zero_policy,
 )
 from eecoop.outage import network_outage_exact, network_outage_report
 from eecoop.solver import (
@@ -170,19 +173,17 @@ class TestPhase1:
     def test_returns_strictly_feasible_point(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
-        z = phase1(prob, opt)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        z = phase1(prob)
         assert prob.strictly_feasible(z)
         assert float(prob.soft_values_scaled(z).max()) < 0.0
 
     def test_impossible_outage_target(self):
         cfg = solver_toy(pr_out_0=1e-12)
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
         with pytest.raises(InfeasibleError) as err:
-            phase1(prob, opt)
+            phase1(prob)
         assert err.value.binding_class == "outage"
 
     def test_energy_starved_network(self):
@@ -196,10 +197,9 @@ class TestPhase1:
                           d_g=np.full(2, 10.0),
                           arrivals=np.full((2, 2), 0.4))
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
         with pytest.raises(InfeasibleError) as err:
-            phase1(prob, opt)
+            phase1(prob)
         assert err.value.binding_class in ("causality", "outage")
 
 
@@ -207,37 +207,34 @@ class TestInnerSolve:
     def test_requires_strict_feasibility(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
         z_bad = prob.initial_point()
         lay = prob.layout
         z_bad[lay.user_idx[0, 0]] = math.log(cfg.p_max) + 1.0
         with pytest.raises(ValueError):
-            inner_solve(prob, 1e4, z_bad, opt)
+            inner_solve(prob, 1e4, z_bad)
 
     def test_convex_inner_optimum_is_start_independent(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
-        z0 = phase1(prob, opt)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        z0 = phase1(prob)
         q = 3e4
-        res_a = inner_solve(prob, q, z0, opt)
+        res_a = inner_solve(prob, q, z0)
         # a different strictly feasible start: the optimum of another q
-        res_other = inner_solve(prob, 9e4, z0, opt)
-        res_b = inner_solve(prob, q, res_other.z, opt)
+        res_other = inner_solve(prob, 9e4, z0)
+        res_b = inner_solve(prob, q, res_other.z)
         assert res_a.v_prime_norm == pytest.approx(res_b.v_prime_norm,
                                                    rel=1e-6)
 
     def test_solution_is_feasible_and_interior(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        opt = SolverOptions()
-        prob = EEProblem(cfg, coeffs, opt, threshold=cfg.pr_out_0)
-        z0 = phase1(prob, opt)
-        res = inner_solve(prob, 5e4, z0, opt)
+        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        z0 = phase1(prob)
+        res = inner_solve(prob, 5e4, z0)
         assert prob.strictly_feasible(res.z)
-        assert res.t_final * opt.kkt_tol >= prob.n_con
+        assert res.t_final * solver_mod.KKT_TOL >= prob.n_con
 
 
 class TestDinkelbach:
@@ -406,6 +403,34 @@ class TestAuditIntegration:
         assert len(builds) == 1
 
 
+class TestSnapRelays:
+    """A relay at the power floor is switched off exactly when exact
+    outage stays within the audit's limit pr_out_0 * (1 + OUTAGE_AUDIT_RTOL)
+    without it."""
+
+    @pytest.mark.parametrize("rtol_share, snaps", [(0.5, True), (2.0, False)])
+    def test_snaps_within_audit_limit(self, rtol_share, snaps):
+        cfg = solver_toy()
+        policy = zero_policy(cfg, p_user=2.0, p_relay=2.0)
+        policy.p_r[0] = P_MIN
+        off = policy.copy()
+        off.p_r[0] = 0.0
+        out = float(np.max(
+            network_outage_report(cfg, off, mode="exact").pr_out))
+        # the limit sits at out * (1 + RTOL) / (1 + share * RTOL)
+        cfg = cfg.replace(
+            pr_out_0=out / (1.0 + rtol_share * OUTAGE_AUDIT_RTOL))
+        snapped = solver_mod._snap_relays(cfg, policy)
+        if snaps:
+            np.testing.assert_array_equal(snapped.p_r, off.p_r)
+            np.testing.assert_array_equal(snapped.p_u, policy.p_u)
+            np.testing.assert_array_equal(snapped.transfers,
+                                          policy.transfers)
+            assert np.all(policy.p_r[0] == P_MIN)
+        else:
+            assert snapped is policy
+
+
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
     / "reference_m2n4.json"
 
@@ -445,8 +470,7 @@ class TestBarrierAssembly:
         if kw == "per_user_tables":
             kw = {"tables_weights": (build_per_user_tables(
                 coeffs, cfg.M, cfg.N), [1.0] * cfg.M)}
-        return EEProblem(cfg, coeffs, SolverOptions(),
-                         threshold=cfg.pr_out_0, **kw)
+        return EEProblem(cfg, coeffs, threshold=cfg.pr_out_0, **kw)
 
     @staticmethod
     def coordinate_scale(prob, z):
@@ -480,7 +504,7 @@ class TestBarrierAssembly:
     def test_inner_barrier(self, scenario, variant):
         cfg = self.scenario(scenario)
         prob = self.problem(cfg, variant)
-        z = phase1(prob, prob.options)
+        z = phase1(prob)
         energy, bits = prob.objective.energy_and_bits(z, prob.tables_at(z))
         q, t = bits / energy, 30.0
         self.check(lambda zz: prob.barrier_fgh(zz, q, t),
@@ -496,7 +520,7 @@ class TestBarrierAssembly:
         finite = 0
         for scenario in ("toy", "reference"):
             prob = self.problem(self.scenario(scenario), variant)
-            z0 = phase1(prob, prob.options)
+            z0 = phase1(prob)
             energy, bits = prob.objective.energy_and_bits(
                 z0, prob.tables_at(z0))
             q, sig = bits / energy, prob.soft_sigma
@@ -512,6 +536,86 @@ class TestBarrierAssembly:
                     assert f_soft == prob.soft_barrier_fgh(zs, t, sig)[0]
                     finite += math.isfinite(f) + math.isfinite(f_soft)
         assert finite == 600
+
+    @staticmethod
+    def crossing(g_max, z0, d):
+        """z0 + a * d just past the first a > 0 where g_max turns
+        positive, found by bisection."""
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            if g_max(z0 + hi * d) > 0.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (lo, mid) if g_max(z0 + mid * d) > 0.0 else (mid, hi)
+        z = z0 + hi * d
+        assert g_max(z) > 0.0
+        return z
+
+    def outside_points(self, prob, z0):
+        """{name: point} just outside one part of the domain each: the
+        power box, a causality row, an outage row, or a depleted budget
+        at or below zero (where tables_at returns None)."""
+        lay = prob.layout
+        z = z0.copy()
+        z[lay.relay_idx[0, 0]] = np.nextafter(math.log(prob.config.p_max),
+                                              np.inf)
+        points = {"bounds": z}
+        d = np.zeros(z0.size)
+        d[lay.relay_idx[:, 0]] = -1.0
+        points["outage"] = self.crossing(
+            lambda zz: prob.outage_cons.values(prob.tables_at(zz)).max(),
+            z0, d)
+        if not prob.depleted:
+            d = np.zeros(z0.size)
+            d[lay.user_idx[0, 0]] = 1.0
+            points["causality"] = self.crossing(
+                lambda zz: prob.energy_rows.values(zz).max(), z0, d)
+        elif lay.with_transfers:
+            d = np.zeros(z0.size)
+            d[lay.pair_mat[0, 0]] = 1.0      # user 0 sends in period 1
+            points["budget"] = self.crossing(
+                lambda zz: -prob.budgets(zz)[0, 0], z0, d)
+        return points
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_value_and_fgh_are_inf_outside_domain(self, variant):
+        """Just outside each part of the domain both barrier pairs give
+        INF; the soft form's slack covers every soft row, or none where a
+        soft row is the one crossed."""
+        for scenario in ("toy", "reference"):
+            prob = self.problem(self.scenario(scenario), variant)
+            z0 = phase1(prob)
+            energy, bits = prob.objective.energy_and_bits(
+                z0, prob.tables_at(z0))
+            q, sig = bits / energy, prob.soft_sigma
+            points = self.outside_points(prob, z0)
+            assert len(points) == 2 + (variant != "depleted")
+            for name, z in points.items():
+                crossed = {cls for cls, g in prob.constraint_values(z)
+                           if np.any(g >= 0.0)}
+                if np.any(prob.bounds.values(z) >= 0.0):
+                    crossed.add("bounds")
+                if name == "budget":
+                    assert prob.tables_at(z) is None
+                    slack = 1.0 + max(
+                        float(np.max(g / sig[cls]))
+                        for cls, g in prob.constraint_values(z)
+                        if cls != "outage")
+                else:
+                    assert crossed == {name}
+                    slack = 0.0 if name != "bounds" else 1.0 + float(
+                        prob.soft_values_scaled(z).max())
+                zs = np.append(z, slack)
+                for t in (1.0, 1e9):
+                    assert prob.barrier_value(z, q, t) \
+                        == prob.barrier_fgh(z, q, t)[0] == math.inf, name
+                    assert prob.soft_barrier_value(zs, t, sig) \
+                        == prob.soft_barrier_fgh(zs, t, sig)[0] \
+                        == math.inf, name
 
     @pytest.mark.parametrize("scenario", ["toy", "reference"])
     def test_phase1_soft_barrier(self, scenario):
