@@ -54,10 +54,8 @@ from .baselines import (
 )
 from .montecarlo import (
     RngSpec,
-    TrialOutcome,
     MonteCarloResult,
     sample_channel_power_gain,
-    simulate_period,
     estimate_outage,
     wilson_interval,
 )

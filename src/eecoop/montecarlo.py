@@ -96,25 +96,6 @@ def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     return draws
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated period: which relays decoded and which forwarded.
-
-    decoded_set holds the relays that received every user message;
-    forwarded_set the subset whose own link to the destination also
-    succeeded.  The destination recovers all M messages iff at least M
-    relays forwarded, the success flag.
-    """
-
-    decoded_set: tuple
-    forwarded_set: tuple
-    success: bool
-
-    def __post_init__(self):
-        if not set(self.forwarded_set) <= set(self.decoded_set):
-            raise ValueError("forwarded_set must be a subset of decoded_set")
-
-
 def _success_margins(config: ScenarioConfig, p_user, p_relay):
     """Per-link gain multipliers: a link succeeds iff gain * margin >= 1.
 
@@ -130,27 +111,6 @@ def _success_margins(config: ScenarioConfig, p_user, p_relay):
         need * config.N0_h)
     m_g = config.d_g ** (-config.beta_g) * p_relay / (need * config.N0_g)
     return m_h, m_g
-
-
-def simulate_period(config: ScenarioConfig, p_user, p_relay,
-                    rng) -> TrialOutcome:
-    """Replay one period of the two-hop protocol on fresh channel draws.
-
-    p_user and p_relay are the period's power vectors, shapes (M,) and
-    (N,).  Draw order is fixed: all M*N first-hop gains, then all N
-    second-hop gains, regardless of decode outcomes, so the stream
-    position after a trial does not depend on the channel realization.
-    """
-    gen = _as_generator(rng)
-    margin_h, margin_g = _success_margins(config, p_user, p_relay)
-    gains_h = sample_channel_power_gain(config.omega_h, config.m, gen)
-    gains_g = sample_channel_power_gain(config.omega_g, config.m, gen)
-    decoded = np.all(gains_h * margin_h >= 1.0, axis=0)
-    forwarded = decoded & (gains_g * margin_g >= 1.0)
-    dec = tuple(int(j) for j in np.flatnonzero(decoded))
-    fwd = tuple(int(j) for j in np.flatnonzero(forwarded))
-    return TrialOutcome(decoded_set=dec, forwarded_set=fwd,
-                        success=len(fwd) >= config.M)
 
 
 def wilson_interval(count, n, z=_Z95):
@@ -195,7 +155,7 @@ def _tally_chunk(config, margins, gen, gains_h, gains_g, outage_count,
                  decode_count):
     """Simulate len(gains_g) trials of every period, accumulating counts.
 
-    Chunked counterpart of simulate_period: per period the draws are the
+    Per period the draws are the
     (n, M, N) first-hop block into gains_h then the (n, N) second-hop
     block into gains_g, both overwritten in place.
     """

@@ -17,13 +17,13 @@ on posynomials into a sum of monomials in the transmit powers.  That
 sum-of-exponentials form (in log-power coordinates) is what the convex
 solver consumes.
 
-The solver evaluates a table's value, gradient and Hessian in one of two
-ways.  Term by term costs O(terms) per period.  OutageRecursion runs the
-relay recursion on float weights instead: O(N M^2) per period at any table
-size, after a fixed cost of about 0.15 ms per call.  A table above
-RECURSION_MIN_TERMS terms that carries its link coefficients takes the
-recursion.  Per call at K = 4 periods, terms vs recursion (best of 25
-interleaved rounds, 2 vCPUs, NumPy 2.4.6):
+Each table gets one evaluator when it is built, chosen from its closed-form
+term count (_term_count).  A table of at most RECURSION_MIN_TERMS terms is
+expanded and evaluated term by term, at O(terms) per period.  A larger one
+is never expanded: OutageRecursion runs the relay recursion on float
+weights instead, O(N M^2) per period at any table size, after a fixed cost
+of about 0.15 ms per call.  Per call at K = 4 periods, terms vs recursion
+(best of 25 interleaved rounds, 2 vCPUs, NumPy 2.4.6):
 
   (M, N)   terms   value/grad/Hessian     value
   (2, 4)      64    0.03 vs 0.14 ms   0.009 vs 0.039 ms
@@ -34,18 +34,16 @@ interleaved rounds, 2 vCPUs, NumPy 2.4.6):
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
 from .model import LinkCoefficients, Policy, ScenarioConfig, snr_gap
 
-# Most terms a merged posynomial of the approximate form may hold.
-MAX_TABLE_TERMS = 2_000_000
-# Tables with more terms than this that carry their link coefficients
-# evaluate by OutageRecursion, smaller ones term by term.  A Newton step
+# Tables with more terms than this are never expanded and evaluate by
+# OutageRecursion, smaller ones term by term.  A Newton step
 # (one value/gradient/Hessian call and about 1.6 value calls) crosses
 # between 1,021 and 2,240 terms at K = 4 periods, near 1,000 at K = 10 and
 # near 5,000 at K = 1.
@@ -147,6 +145,22 @@ def network_outage_exact(rho, pe_relay, M: int):
     return np.minimum(pr_A + pr_B, 1.0), pr_A, pr_B
 
 
+def _term_count(M: int, N: int, event: str) -> int:
+    """Terms of the merged table of event A or B, without expanding it.
+
+    A term multiplies one user monomial per relay that misses a decode, s
+    of them, into one of C(s + M - 1, M - 1) user exponent rows, and B's
+    terms also pick the r relays that decode but fail to forward.  A
+    needs s > N - M; B needs s <= N - M and N - r - s < M.
+    """
+    def rows(s):
+        return math.comb(s + M - 1, M - 1)
+    if event == "A":
+        return sum(rows(s) for s in range(max(0, N - M + 1), N + 1))
+    return sum(math.comb(N, r) * rows(s) for r in range(N + 1)
+               for s in range(max(0, N - r - M + 1), min(N - r, N - M) + 1))
+
+
 def _transfer_patterns(M: int):
     """relay_recursion as matrices on the (M + 1) * M states, flattened.
 
@@ -168,8 +182,8 @@ def _transfer_patterns(M: int):
 class OutageRecursion:
     """Approximate outage of one network by the relay recursion on floats.
 
-    Evaluates the sum of the events A and/or B that build_outage_tables
-    expands into monomials, straight from the link coefficients: relay j
+    Evaluates the sum of the events A and/or B, n_terms monomials in all,
+    straight from the link coefficients without expanding them: relay j
     weighs f_j = sum_i c_u[i, j] * p_i**-m and g_j = c_r[j] * q_j**-m, A
     runs on (f_j, 1, 0) and B on (f_j, g_j, 1).  With T_j the relay's
     transfer matrix, the value is read(T_N ... T_1 e_0), O(N M^2) per
@@ -181,13 +195,16 @@ class OutageRecursion:
     x, values, gradients and Hessians have MonomialTable's layouts.  Every
     product that sums runs per period (stacked matrix products), except
     the exact-up-to-one-rounding build of T, so a column of a batched call
-    rounds exactly like the call on that column alone.
+    rounds exactly like the call on that column alone.  A weight or state
+    that overflows reads as an infinite value, as the terms would.
     """
 
     def __init__(self, coeffs: LinkCoefficients, events):
         self.c_u, self.c_r, self.m = coeffs.c_u, coeffs.c_r, coeffs.m
         self.M, self.N = self.c_u.shape
         self.events = tuple(events)
+        self.n_terms = sum(_term_count(self.M, self.N, e)
+                           for e in self.events)
         E, read = _transfer_patterns(self.M)
         S = E.shape[-1]
         self.E = E.reshape(3, S * S)
@@ -228,7 +245,11 @@ class OutageRecursion:
         return a
 
     def _read(self, a):
-        return (self.read @ a[-1])[..., 0, 0].sum(axis=0)
+        v = (self.read @ a[-1])[..., 0, 0].sum(axis=0)
+        # a sum of products of positive weights is nan only once a weight
+        # or state overflowed (inf * 0 in the transfer products)
+        v[np.isnan(v)] = np.inf
+        return v
 
     def value(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,38 +309,27 @@ class MonomialTable:
     x = log p the value is coef @ exp(w @ x), a convex sum of exponentials
     with strictly positive coefficients.
 
-    value and value_grad_hess evaluate the terms, unless the table carries
-    the link coefficients and events it was built from and has more than
-    RECURSION_MIN_TERMS terms: then OutageRecursion evaluates the same sum
-    in O(N M^2) per period.  A call whose recursion value is not finite (a
-    weight overflowed) is evaluated term by term.
+    A table holds its terms or, when built too large to expand, the
+    OutageRecursion that evaluates the same sum in O(N M^2) per period;
+    value and value_grad_hess use whichever it holds.
     """
 
-    coef: np.ndarray  # (S,) > 0
-    w: np.ndarray     # (S, M+N) exponents of exp(w @ x)
+    coef: np.ndarray  # (S,) > 0, None with a recursion
+    w: np.ndarray     # (S, M+N) exponents of exp(w @ x), None likewise
     M: int
     N: int
     m: float
-    # the network and the events ("A", "B") whose approximate outage the
-    # table sums; with them a large table evaluates by OutageRecursion
-    coeffs: LinkCoefficients = field(default=None, compare=False)
-    events: tuple = ()
+    recursion: OutageRecursion = None
 
     def __post_init__(self):
-        if np.any(self.coef <= 0.0):
+        if self.recursion is None and np.any(self.coef <= 0.0):
             raise AssertionError("posynomial coefficients must be positive")
 
     @property
     def n_terms(self) -> int:
+        if self.recursion is not None:
+            return self.recursion.n_terms
         return self.coef.shape[0]
-
-    @functools.cached_property
-    def _recursion(self):
-        return OutageRecursion(self.coeffs, self.events)
-
-    def _by_recursion(self) -> bool:
-        return (self.coeffs is not None and bool(self.events)
-                and self.n_terms > RECURSION_MIN_TERMS)
 
     def _exponents(self, x):
         """w @ x per period: (S,) for x (M+N,), (K, S) for x (M+N, K).
@@ -333,10 +343,8 @@ class MonomialTable:
 
     def value(self, x):
         """x = log powers, shape (M+N,) or (M+N, K) column-wise."""
-        if self._by_recursion():
-            v = self._recursion.value(x)
-            if np.all(np.isfinite(v)):
-                return v
+        if self.recursion is not None:
+            return self.recursion.value(x)
         with np.errstate(over="ignore"):
             return (self.coef * np.exp(self._exponents(x))).sum(axis=-1)
 
@@ -347,10 +355,8 @@ class MonomialTable:
         (M+N, K) gives every period at once: values (K,), gradients
         (M+N, K) column-wise, Hessians (K, M+N, M+N).
         """
-        if self._by_recursion():
-            vgh = self._recursion.value_grad_hess(x)
-            if np.all(np.isfinite(vgh[0])):
-                return vgh
+        if self.recursion is not None:
+            return self.recursion.value_grad_hess(x)
         with np.errstate(over="ignore"):
             t = self.coef * np.exp(self._exponents(x))
         grad = np.matmul(self.w.T, t[..., None])[..., 0]
@@ -365,8 +371,7 @@ class MonomialTable:
 class _Posynomial:
     """Sparse posynomial in the powers of one period: sorted unique int64
     keys that pack exponent counts (_key_layout), so that multiplying
-    monomials adds keys, and positive coefficients.  Every merge checks
-    MAX_TABLE_TERMS."""
+    monomials adds keys, and positive coefficients."""
 
     def __init__(self, keys, coef):
         self.keys, self.coef = keys, coef
@@ -374,9 +379,6 @@ class _Posynomial:
     @classmethod
     def merged(cls, keys, coef):
         keys, inv = np.unique(keys, return_inverse=True)
-        if keys.size > MAX_TABLE_TERMS:
-            raise ValueError(f"outage posynomial needs {keys.size} terms, "
-                             f"over the {MAX_TABLE_TERMS} cap; reduce M or N")
         return cls(keys, np.bincount(inv, weights=coef, minlength=keys.size))
 
     def __add__(self, other):
@@ -395,10 +397,10 @@ class _Posynomial:
                                   np.multiply.outer(self.coef,
                                                     other.coef).ravel())
 
-    def table(self, dims, M: int, m: float, **carried) -> MonomialTable:
+    def table(self, dims, M: int, m: float) -> MonomialTable:
         counts = np.stack(np.unravel_index(self.keys, dims), axis=-1)
         return MonomialTable(coef=self.coef, w=-m * counts, M=M,
-                             N=len(dims) - M, m=m, **carried)
+                             N=len(dims) - M, m=m)
 
 
 _ZERO = _Posynomial(np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -415,32 +417,59 @@ def _key_layout(M: int, N: int):
                                       dims)
 
 
+def _recursion_table(coeffs: LinkCoefficients, events) -> MonomialTable:
+    rec = OutageRecursion(coeffs, events)
+    return MonomialTable(coef=None, w=None, M=rec.M, N=rec.N, m=rec.m,
+                         recursion=rec)
+
+
+def _expanded_table(coeffs: LinkCoefficients, event: str) -> MonomialTable:
+    """relay_recursion of event A or B run on sparse posynomials; rows are
+    merged and sorted lexicographically by exponent counts."""
+    (M, N), m = coeffs.c_u.shape, coeffs.m
+    dims, place = _key_layout(M, N)
+    f = [_Posynomial.merged(place[:M], coeffs.c_u[:, j]) for j in range(N)]
+    P = np.full((M + 1, M), _ZERO, dtype=object)
+    P[0, 0] = _ONE
+    if event == "A":
+        return relay_recursion(((f_j, _ONE, _ZERO) for f_j in f),
+                               P)[0].table(dims, M, m)
+    g = [_Posynomial(place[M + j:M + j + 1], coeffs.c_r[j:j + 1])
+         for j in range(N)]
+    return relay_recursion(zip(f, g, [_ONE] * N), P)[1].table(dims, M, m)
+
+
 def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
     """Monomial tables (A part, B part) of the approximate outage.
 
     Relay j misses a decode with f_j = sum_i c_u[i, j] * p_i**-m and fails
     to forward with g_j = c_r[j] * q_j**-m.  A is relay_recursion on the
-    weights (f_j, 1, 0), B on (f_j, g_j, 1), run on sparse posynomials.
-    Rows are merged and sorted lexicographically by exponent counts.
-    Raises when a merged posynomial exceeds MAX_TABLE_TERMS terms.
+    weights (f_j, 1, 0), B on (f_j, g_j, 1).  A part of more than
+    RECURSION_MIN_TERMS terms is never expanded and evaluates by
+    OutageRecursion; a smaller one is expanded by running relay_recursion
+    on sparse posynomials.
     """
-    c_u, c_r, m = coeffs.c_u, coeffs.c_r, coeffs.m
-    if c_u.shape != (M, N) or c_r.shape != (N,):
+    if coeffs.c_u.shape != (M, N) or coeffs.c_r.shape != (N,):
         raise ValueError("link coefficient shapes do not match (M, N)")
-    dims, place = _key_layout(M, N)
-    f = [_Posynomial.merged(place[:M], c_u[:, j]) for j in range(N)]
-    g = [_Posynomial(place[M + j:M + j + 1], c_r[j:j + 1]) for j in range(N)]
-    P = np.full((2, M + 1, M), _ZERO, dtype=object)
-    P[:, 0, 0] = _ONE
-    pr_A, _ = relay_recursion(((f_j, _ONE, _ZERO) for f_j in f), P[0])
-    _, pr_B = relay_recursion(zip(f, g, [_ONE] * N), P[1])
-    return (pr_A.table(dims, M, m, coeffs=coeffs, events=("A",)),
-            pr_B.table(dims, M, m, coeffs=coeffs, events=("B",)))
+    return tuple(_recursion_table(coeffs, (event,))
+                 if _term_count(M, N, event) > RECURSION_MIN_TERMS
+                 else _expanded_table(coeffs, event) for event in "AB")
 
 
 def outage_tables(coeffs: LinkCoefficients, M: int, N: int):
     """The (A part, B part) monomial tables the solver evaluates."""
     return build_outage_tables(coeffs, M, N)
+
+
+def coded_outage_table(coeffs: LinkCoefficients, parts) -> MonomialTable:
+    """Parts A and B as one table, which loses all M messages of a period:
+    by OutageRecursion on both events above RECURSION_MIN_TERMS terms in
+    all, else the terms of both parts."""
+    tA, tB = parts
+    if tA.n_terms + tB.n_terms > RECURSION_MIN_TERMS:
+        return _recursion_table(coeffs, ("A", "B"))
+    return MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
+                         w=np.vstack([tA.w, tB.w]), M=tA.M, N=tA.N, m=tA.m)
 
 
 def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):

@@ -50,7 +50,7 @@ from .model import (
     total_energy,
     validate_policy,
 )
-from .outage import MonomialTable, network_outage_report, outage_tables
+from .outage import coded_outage_table, network_outage_report, outage_tables
 
 INF = float("inf")
 # A Newton stage has converged once its whole Armijo margin 0.25 * lambda^2
@@ -371,12 +371,8 @@ class Objective:
 def _coded_tables(coeffs: LinkCoefficients, M: int, N: int):
     """(tables, weights) of the network-coded outage: parts A and B as one
     table, which loses all M messages of a period."""
-    tA, tB = outage_tables(coeffs, M, N)
-    combined = MonomialTable(
-        coef=np.concatenate([tA.coef, tB.coef]),
-        w=np.vstack([tA.w, tB.w]), M=M, N=N, m=coeffs.m,
-        coeffs=tA.coeffs, events=tA.events + tB.events)
-    return [combined], [float(M)]
+    table = coded_outage_table(coeffs, outage_tables(coeffs, M, N))
+    return [table], [float(M)]
 
 
 class EEProblem:

@@ -13,9 +13,8 @@ import pytest
 from scipy.special import gammainc
 
 from eecoop.model import load_scenario, zero_policy, total_energy
-from eecoop.montecarlo import (MonteCarloResult, RngSpec, TrialOutcome,
-                               estimate_outage, sample_channel_power_gain,
-                               simulate_period, wilson_interval)
+from eecoop.montecarlo import (MonteCarloResult, RngSpec, estimate_outage,
+                               sample_channel_power_gain, wilson_interval)
 from eecoop.outage import network_outage_report
 
 from helpers import solver_toy
@@ -131,42 +130,41 @@ class TestGainSampler:
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 class TestTrialOutcome:
-    def test_subset_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            TrialOutcome(decoded_set=(0,), forwarded_set=(0, 1),
-                         success=True)
+    """Trial outcomes as estimate_outage tallies them: a trial succeeds
+    when at least M relays decoded and forwarded."""
 
     def test_simulated_outcomes_respect_subset(self):
+        """Forwarders are decoders, so every success adds at least M to
+        the per-relay decode tallies."""
         cfg, pol = toy_point(M=2, N=2, p=0.05)
-        for s in range(200):
-            out = simulate_period(cfg, pol.p_u[:, 0], pol.p_r[:, 0],
-                                  RngSpec(seed=300 + s))
-            assert set(out.forwarded_set) <= set(out.decoded_set)
-            assert out.success == (len(out.forwarded_set) >= cfg.M)
+        res = estimate_outage(cfg, pol, 20_000, RngSpec(seed=300))
+        successes = res.trials - res.outage_count
+        assert np.all(successes > 0) and np.all(res.outage_count > 0)
+        assert np.all(res.decode_count.sum(axis=1) >= cfg.M * successes)
+        assert np.all(res.decode_count <= res.trials)
 
 
 class TestSimulatePeriod:
+    """Simulated periods read off estimate_outage's outage_count and
+    decode_count tallies."""
+
     def test_huge_power_always_succeeds(self):
         cfg, pol = toy_point(M=2, N=2, p=1e12)
-        for s in range(500):
-            out = simulate_period(cfg, pol.p_u[:, 0], pol.p_r[:, 0],
-                                  RngSpec(seed=s))
-            assert out.success
-            assert out.decoded_set == (0, 1)
-            assert out.forwarded_set == (0, 1)
+        res = estimate_outage(cfg, pol, 500, RngSpec(seed=0))
+        assert np.all(res.outage_count == 0)
+        assert np.all(res.decode_count == 500)
 
     def test_floor_power_always_fails(self):
         cfg, pol = toy_point(M=2, N=2, p=1e-9)
-        for s in range(500):
-            out = simulate_period(cfg, pol.p_u[:, 0], pol.p_r[:, 0],
-                                  RngSpec(seed=s))
-            assert not out.success
-            assert out.decoded_set == ()
+        res = estimate_outage(cfg, pol, 500, RngSpec(seed=0))
+        assert np.all(res.outage_count == 500)
+        assert np.all(res.decode_count == 0)
 
     def test_zero_power_handled(self):
-        cfg, _ = toy_point(M=1, N=1)
-        out = simulate_period(cfg, np.zeros(1), np.zeros(1), RngSpec(seed=0))
-        assert out.decoded_set == () and not out.success
+        cfg, pol = toy_point(M=1, N=1, p=0.0)
+        res = estimate_outage(cfg, pol, 100, RngSpec(seed=0))
+        assert res.outage_count.tolist() == [100]
+        assert np.all(res.decode_count == 0)
 
     def test_relay_decode_rate_matches_analytic(self):
         """Empirical decode frequency agrees with the closed form."""
@@ -179,9 +177,11 @@ class TestSimulatePeriod:
         assert np.all(np.abs(rate - rho) <= 3 * sigma)
 
     def test_power_vector_shapes_checked(self):
-        cfg, pol = toy_point(M=2, N=2)
+        """A policy of another network size is refused."""
+        cfg, _ = toy_point(M=2, N=2)
+        _, pol = toy_point(M=1, N=2)
         with pytest.raises(ValueError):
-            simulate_period(cfg, pol.p_u, pol.p_r[:, 0], RngSpec(seed=0))
+            estimate_outage(cfg, pol, 10, RngSpec(seed=0))
 
 
 class TestWilson:

@@ -1,7 +1,6 @@
 """Tests for per-link and network outage probabilities, both the exact
 expressions and the posynomial approximation used by the optimizer."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -19,9 +18,10 @@ from eecoop.model import (
     load_scenario,
 )
 from eecoop.outage import (
-    MAX_TABLE_TERMS,
     MonomialTable,
+    _term_count,
     build_outage_tables,
+    coded_outage_table,
     network_outage_approx,
     network_outage_exact,
     network_outage_report,
@@ -31,7 +31,6 @@ from eecoop.outage import (
     relay_decode_prob,
     relay_recursion,
 )
-from eecoop.solver import _coded_tables
 from helpers import (
     expanded_outage_tables,
     expanded_per_user_tables,
@@ -407,10 +406,9 @@ class TestRecursionTables:
             tiled_config(load_scenario(REFERENCE), M, N, 1))
 
     def test_beyond_expansion_cap(self, monkeypatch):
-        """(4, 10) was above the term-by-term expansion's cap; its tables,
-        evaluated term by term, equal the relay recursion run on float
-        weights."""
-        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", MAX_TABLE_TERMS)
+        """The (4, 10) tables, expanded (118,998 terms in B) and evaluated
+        term by term, equal the relay recursion run on float weights."""
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", math.inf)
         M, N = 4, 10
         coeffs = self.wide_coeffs(M, N)
         tA, tB = build_outage_tables(coeffs, M, N)
@@ -430,34 +428,59 @@ class TestRecursionTables:
         np.testing.assert_allclose(tA.value(x), pr_A, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(tB.value(x), pr_B, rtol=1e-12, atol=0.0)
 
-    def test_term_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(outage, "MAX_TABLE_TERMS", 1_000)
-        with pytest.raises(ValueError, match="1000 cap"):
-            build_outage_tables(self.wide_coeffs(3, 8), 3, 8)
+    def test_term_count_matches_built_tables(self, monkeypatch):
+        """The closed-form count equals every expanded table's size."""
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", math.inf)
+        rng = np.random.default_rng(59)
+        for M, N in product(range(1, 6), range(1, 11)):
+            coeffs = LinkCoefficients(c_u=rng.uniform(1e-3, 1e-2, (M, N)),
+                                      c_r=rng.uniform(1e-3, 1e-2, N), m=1.0)
+            tA, tB = build_outage_tables(coeffs, M, N)
+            assert tA.recursion is None and tB.recursion is None
+            assert (tA.n_terms, tB.n_terms) == (_term_count(M, N, "A"),
+                                                _term_count(M, N, "B"))
+
+    def test_large_part_is_never_expanded(self):
+        """At (6, 16) both parts are far above RECURSION_MIN_TERMS: they
+        hold their recursion and no terms, and report the counted size."""
+        tA, tB = build_outage_tables(self.wide_coeffs(6, 16), 6, 16)
+        for table, event in ((tA, "A"), (tB, "B")):
+            assert table.coef is None and table.w is None
+            assert table.recursion.events == (event,)
+            assert table.n_terms == _term_count(6, 16, event)
+        assert tB.n_terms == 236_449_923
 
 
 class TestRecursionEvaluator:
-    """Tables that carry their link coefficients evaluate by the relay
-    recursion above RECURSION_MIN_TERMS terms; the same tables without
-    them are the term-by-term reference."""
-
-    @pytest.fixture
-    def everywhere(self, monkeypatch):
-        """Even empty tables (part B with fewer than M relays)."""
-        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", -1)
+    """Tables above RECURSION_MIN_TERMS terms are built as the relay
+    recursion, smaller ones as terms; the same tables built with the
+    threshold raised are the term-by-term reference."""
 
     @staticmethod
     def event_tables(coeffs, M, N):
         """Parts A and B, and the solver's A+B table."""
         tA, tB = build_outage_tables(coeffs, M, N)
-        ([tAB], _) = _coded_tables(coeffs, M, N)
-        return {"A": tA, "B": tB, "A+B": tAB}
+        return {"A": tA, "B": tB, "A+B": coded_outage_table(coeffs, (tA, tB))}
+
+    def by_recursion_and_terms(self, monkeypatch, coeffs, M, N):
+        """event_tables built as recursions, even empty ones (part B with
+        fewer than M relays), and built as terms."""
+        built = []
+        for threshold in (-1, math.inf):
+            monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", threshold)
+            built.append(self.event_tables(coeffs, M, N))
+        for event, table in built[0].items():
+            terms = built[1][event]
+            assert table.recursion is not None and table.coef is None
+            assert terms.recursion is None
+            assert table.n_terms == terms.n_terms
+        return built
 
     @pytest.mark.parametrize("event", ["A", "B", "A+B"])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("M,N", [(1, 1), (2, 1), (3, 2), (2, 4), (3, 5),
                                      (3, 8)])
-    def test_matches_terms(self, everywhere, M, N, m, event):
+    def test_matches_terms(self, monkeypatch, M, N, m, event):
         """Value, gradient and Hessian of every period against the terms;
         each column of the batched call bit for bit against the call on
         that column alone, and value() bit for bit against
@@ -465,9 +488,8 @@ class TestRecursionEvaluator:
         rng = np.random.default_rng([M, N, int(10 * m), len(event)])
         coeffs = LinkCoefficients(c_u=10.0 ** rng.uniform(-6, -1, (M, N)),
                                   c_r=10.0 ** rng.uniform(-6, -1, N), m=m)
-        table = self.event_tables(coeffs, M, N)[event]
-        terms = dataclasses.replace(table, coeffs=None)
-        assert table._by_recursion() and not terms._by_recursion()
+        table, terms = (t[event] for t in self.by_recursion_and_terms(
+            monkeypatch, coeffs, M, N))
         x = rng.uniform(-1.0, 3.0, size=(M + N, 4))
         got, expect = table.value_grad_hess(x), terms.value_grad_hess(x)
         for g, e in zip(got, expect):
@@ -481,32 +503,40 @@ class TestRecursionEvaluator:
             assert np.array_equal(H_k, H[k])
 
     def test_dispatch_by_terms(self):
-        """The reference's 64-term table stays on the term path, the
-        wide-network geometry's 7,408 terms go to the recursion, and
-        tables without link coefficients never do."""
+        """The reference's 64-term table is built as terms; at the
+        wide-network geometry part A's 109 terms are expanded, while part
+        B's 7,299 and the A+B table's 7,408 are built as the recursion.
+        The per-user tables are always terms."""
         ref = compute_link_coefficients(load_scenario(REFERENCE))
         wide = TestRecursionTables.wide_coeffs(3, 8)
-        small = self.event_tables(ref, 2, 4)["A+B"]
-        large = self.event_tables(wide, 3, 8)["A+B"]
-        assert small.n_terms <= outage.RECURSION_MIN_TERMS < large.n_terms
-        assert not small._by_recursion()
-        assert large._by_recursion()
-        assert not dataclasses.replace(large, coeffs=None)._by_recursion()
-        assert not any(t._by_recursion()
-                       for t in build_per_user_tables(wide, 3, 8))
+        small = self.event_tables(ref, 2, 4)
+        large = self.event_tables(wide, 3, 8)
+        assert small["A+B"].n_terms == 64
+        assert all(t.recursion is None for t in small.values())
+        assert [large[e].n_terms for e in ("A", "B", "A+B")] \
+            == [109, 7299, 7408]
+        assert large["A"].recursion is None
+        assert large["B"].recursion.events == ("B",)
+        assert large["A+B"].recursion.events == ("A", "B")
+        assert all(t.recursion is None
+                   for t in build_per_user_tables(wide, 3, 8))
 
-    def test_overflow_falls_back_to_terms(self, everywhere):
+    def test_overflow_reads_inf(self, monkeypatch):
         """A weight that overflows makes the recursion's states inf or
-        nan; such periods are evaluated term by term."""
+        nan (inf * 0); the value then reads +inf, as the terms do, and the
+        other periods keep their values."""
         coeffs = TestRecursionTables.wide_coeffs(2, 4)
-        for table in self.event_tables(coeffs, 2, 4).values():
-            x = np.zeros((6, 2))
-            x[0, 0] = -800.0
-            assert table.value(x)[0] == np.inf
-            v, g, H = table.value_grad_hess(x[:, 1])
-            np.testing.assert_allclose(
-                v, dataclasses.replace(table, coeffs=None).value(x[:, 1]),
-                rtol=1e-12)
+        x = np.zeros((6, 2))
+        x[0, 0] = -800.0
+        tables, terms = self.by_recursion_and_terms(monkeypatch, coeffs, 2, 4)
+        for event, table in tables.items():
+            expect = terms[event].value(x)
+            assert expect[0] == np.inf
+            for v in (table.value(x), table.value_grad_hess(x)[0]):
+                assert v[0] == np.inf
+                np.testing.assert_allclose(v[1], expect[1], rtol=1e-12)
+            assert table.value(x[:, 0]) == np.inf
+            assert table.value_grad_hess(x[:, 0])[0] == np.inf
 
 
 class TestNetworkOutageApprox:

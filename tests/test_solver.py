@@ -633,9 +633,9 @@ class TestBarrierAssembly:
 
 
 class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
-    """The same checks with every outage table that carries its link
-    coefficients evaluated by the relay recursion instead of term by term
-    (per-user tables carry none and stay on the terms)."""
+    """The same checks with every network-coded outage table built as the
+    relay recursion instead of terms (the per-user tables of the nonc_df
+    variant are always terms)."""
 
     @pytest.fixture(autouse=True)
     def recursion_everywhere(self, monkeypatch):
@@ -643,7 +643,7 @@ class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
 
     def problem(self, cfg, variant):
         prob = super().problem(cfg, variant)
-        by_recursion = [t._by_recursion() for t in prob.tables]
+        by_recursion = [t.recursion is not None for t in prob.tables]
         assert all(by_recursion) == (variant != "nonc_df")
         assert any(by_recursion) == (variant != "nonc_df")
         return prob
@@ -651,9 +651,19 @@ class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
 
 class TestWideNetwork:
     def test_m4_n12_solves_and_passes_audit(self):
-        """The reference links tiled to M=4 users and N=12 relays: tables
-        of 1,325 + 864,903 terms, evaluated by the relay recursion."""
+        """The reference links tiled to M=4 users and N=12 relays: parts
+        of 1,325 and 864,903 terms, whose A+B table is built as the relay
+        recursion."""
         cfg = tiled_config(load_scenario(REFERENCE), 4, 12, 3)
+        res = dinkelbach_optimize(cfg)
+        assert res.status == "converged"
+        assert validate_policy(cfg, res.policy).feasible
+
+    @pytest.mark.parametrize("M,N", [(4, 16), (6, 16)])
+    def test_unexpanded_tables_solve_and_pass_audit(self, M, N):
+        """(4, 16) and (6, 16) have about 3.2e7 and 2.4e8 terms, which no
+        table expands: both parts are built as the relay recursion."""
+        cfg = tiled_config(load_scenario(REFERENCE), M, N, 3)
         res = dinkelbach_optimize(cfg)
         assert res.status == "converged"
         assert validate_policy(cfg, res.policy).feasible
