@@ -21,8 +21,6 @@ from .outage import (
     OutageReport,
     MonomialTable,
     per_link_outage_exact,
-    per_link_outage_approx,
-    relay_decode_prob,
     network_outage_exact,
     network_outage_approx,
     network_outage_report,

@@ -2,9 +2,8 @@
 
 Squared Nakagami-m envelopes are gamma variates.  Each block of link
 draws is one ``Generator.standard_gamma`` call times the scale omega / m,
-bit for bit what ``Generator.gamma`` returns, and ``estimate_outage``
-writes every block into two buffers allocated once per call.  A link
-succeeds when the received SNR clears the rate threshold:
+bit for bit what ``Generator.gamma`` returns.  A link succeeds when the
+received SNR clears the rate threshold:
 
     B * log2(1 + gain * d**(-beta) * p / (N0 * B)) >= alpha0
     <=>  gain * d**(-beta) * p >= (2**(alpha0 / B) - 1) * N0 * B
@@ -16,12 +15,19 @@ relays both decoded and got their forward through.
 
 Randomness is counter-based (Philox) and keyed by an explicit
 (seed, stream_id) pair, so any draw sequence is reproducible and streams
-with distinct ids are independent.  Multi-stream estimates aggregate
-integer counts, which makes the split-across-workers result identical to
-the sequential one under the same partitioning.
+with distinct ids are independent.  ``estimate_outage`` cuts each stream
+into chunks of trials; chunk c of stream s draws from
+``Philox(key=(seed, stream_id + s)).jumped(c)``, a substream disjoint
+from every other chunk's (Salmon et al., SC'11).  The chunks run on a
+thread pool, since NumPy's gamma sampler releases the GIL, and their
+integer counts are summed, so the result depends on the seed, stream id,
+stream count and chunk size, and never on the number of threads.  A
+stream that fits in one chunk draws the unjumped stream.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +58,11 @@ class RngSpec:
             if not 0 <= int(v) < _U64:
                 raise ValueError(f"{name} must fit in 64 bits")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, jumps: int = 0) -> np.random.Generator:
+        """Generator on this stream advanced by jumps * 2**128 draws;
+        jumps=0 is the stream itself."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key).jumped(jumps))
 
     def stream(self, offset: int) -> "RngSpec":
         return RngSpec(self.seed, (self.stream_id + offset) % _U64)
@@ -91,6 +99,14 @@ def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     gen = _as_generator(rng)
     if size is None and out is None:
         size = omega.shape
+    return _draw_gains(gen, omega, m, size, out)
+
+
+def _draw_gains(gen, omega, m, size=None, out=None):
+    """Unchecked body of sample_channel_power_gain: standard gamma draws
+    scaled by omega / m.  estimate_outage's worker threads draw through
+    this helper, never the public name, which the benchmark tracer
+    rebinds with a single-threaded span stack."""
     draws = gen.standard_gamma(m, size=size, out=out)
     draws *= omega / m
     return draws
@@ -151,19 +167,22 @@ class MonteCarloResult:
     ee: float                # bits / e_tot
 
 
-def _tally_chunk(config, margins, gen, gains_h, gains_g, outage_count,
-                 decode_count):
-    """Simulate len(gains_g) trials of every period, accumulating counts.
+def _tally_chunk(config, margins, spec, chunk, n):
+    """Simulate n trials of every period on chunk substream `chunk` of
+    spec; returns the (outage_count, decode_count) tallies.
 
-    Per period the draws are the
-    (n, M, N) first-hop block into gains_h then the (n, N) second-hop
-    block into gains_g, both overwritten in place.
+    Per period the draws are the (n, M, N) first-hop block then the
+    (n, N) second-hop block.
     """
     M, N = config.M, config.N
-    n = len(gains_g)
+    gen = spec.generator(chunk)
+    gains_h = np.empty((n, M, N))
+    gains_g = np.empty((n, N))
+    outage_count = np.zeros(config.K, dtype=np.int64)
+    decode_count = np.zeros((config.K, N), dtype=np.int64)
     for k, (margin_h, margin_g) in enumerate(margins):
-        sample_channel_power_gain(config.omega_h, config.m, gen, out=gains_h)
-        sample_channel_power_gain(config.omega_g, config.m, gen, out=gains_g)
+        _draw_gains(gen, config.omega_h, config.m, out=gains_h)
+        _draw_gains(gen, config.omega_g, config.m, out=gains_g)
         gains_h *= margin_h
         gains_g *= margin_g
         decoded = gains_h[:, 0] >= 1.0
@@ -174,9 +193,10 @@ def _tally_chunk(config, margins, gen, gains_h, gains_g, outage_count,
         # column by column: a strided count beats an axis reduction here
         sent = np.zeros(n, dtype=np.intp)
         for j in range(N):
-            decode_count[k, j] += np.count_nonzero(decoded[:, j])
+            decode_count[k, j] = np.count_nonzero(decoded[:, j])
             sent += forwarded[:, j]
-        outage_count[k] += np.count_nonzero(sent < M)
+        outage_count[k] = np.count_nonzero(sent < M)
+    return outage_count, decode_count
 
 
 def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
@@ -184,14 +204,18 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
                     chunk_size: int = 1 << 16) -> MonteCarloResult:
     """Estimate per-period outage and EE over repeated channel draws.
 
-    rng may be an RngSpec, a plain integer seed, or a Generator (single
-    stream only).  Trials are split across n_streams independent streams
-    (ids rng.stream_id + 0 .. n_streams - 1, earlier streams take the
-    remainder); since aggregation sums integer counts, running the
-    streams in parallel workers reproduces this result exactly under the
-    same partitioning.  chunk_size is part of the reproducibility key
-    too: each chunk draws all its first-hop gains before its second-hop
-    gains, so another chunk size gives another realization.
+    rng is an RngSpec or a plain integer seed; a bare Generator is
+    refused, because it cannot be split into chunk substreams.  Trials
+    are split across n_streams independent streams (ids rng.stream_id +
+    0 .. n_streams - 1, earlier streams take the remainder), and each
+    stream into chunks of at most chunk_size trials; chunk c draws from
+    the stream's generator jumped c times.  The chunks run on up to
+    os.cpu_count() threads and their integer counts are summed, so the
+    result is the same for any thread count, and running the streams in
+    separate workers reproduces it exactly under the same partitioning.
+    chunk_size is part of the reproducibility key: each chunk draws all
+    its first-hop gains before its second-hop gains, so another chunk
+    size gives another realization.
     """
     trials = int(trials)
     if trials < 1:
@@ -202,31 +226,27 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     chunk_size = int(chunk_size)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if isinstance(rng, np.random.Generator):
-        if n_streams != 1:
-            raise ValueError("a bare Generator cannot be split; pass an "
-                             "RngSpec to use multiple streams")
-        streams = [rng]
-    else:
-        spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
-        streams = [spec.stream(s).generator() for s in range(n_streams)]
+    if isinstance(rng, (int, np.integer)):
+        rng = RngSpec(int(rng))
+    if not isinstance(rng, RngSpec):
+        raise ValueError("rng must be an RngSpec or an integer seed; a "
+                         "Generator cannot be split into chunk substreams")
 
-    M, N, K = config.M, config.N, config.K
     margins = [_success_margins(config, policy.p_u[:, k], policy.p_r[:, k])
-               for k in range(K)]
-    outage_count = np.zeros(K, dtype=np.int64)
-    decode_count = np.zeros((K, N), dtype=np.int64)
+               for k in range(config.K)]
     base, rem = divmod(trials, n_streams)
-    rows = min(chunk_size, base + (1 if rem else 0))
-    gains_h = np.empty((rows, M, N))
-    gains_g = np.empty((rows, N))
-    for s, gen in enumerate(streams):
+    jobs = []
+    for s in range(n_streams):
+        spec = rng.stream(s)
         todo = base + (1 if s < rem else 0)
-        while todo > 0:
-            n = min(todo, chunk_size)
-            _tally_chunk(config, margins, gen, gains_h[:n], gains_g[:n],
-                         outage_count, decode_count)
-            todo -= n
+        for chunk, start in enumerate(range(0, todo, chunk_size)):
+            jobs.append((spec, chunk, min(chunk_size, todo - start)))
+    workers = min(len(jobs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tallies = list(pool.map(
+            lambda job: _tally_chunk(config, margins, *job), jobs))
+    outage_count = sum(t[0] for t in tallies)
+    decode_count = sum(t[1] for t in tallies)
 
     pr_out = outage_count / trials
     ci_lo, ci_hi = wilson_interval(outage_count, trials)
@@ -234,7 +254,7 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
         (trials - outage_count).sum()) / trials
     e_tot = total_energy(config, policy)
     ee = bits / e_tot if e_tot > 0 else math.inf
-    return MonteCarloResult(trials=trials, streams=len(streams),
+    return MonteCarloResult(trials=trials, streams=n_streams,
                             pr_out=pr_out, ci_lo=ci_lo, ci_hi=ci_hi,
                             outage_count=outage_count,
                             decode_count=decode_count,

@@ -1,4 +1,5 @@
-"""Shared scenario builders and expansion oracles for the test suite."""
+"""Shared scenario builders and closed-form and expansion oracles for the
+test suite."""
 
 import dataclasses
 from itertools import combinations, product
@@ -55,6 +56,33 @@ def tiled_config(ref: ScenarioConfig, M: int, N: int, K: int):
     return dataclasses.replace(
         ref, M=M, N=N, K=K, arrivals=ref.arrivals[users, :K],
         Eu_0=ref.Eu_0[users], **first_hop, **second_hop)
+
+
+# ---------------------------------------------------------------------------
+# oracles: closed forms the package computes inline
+
+
+def per_link_outage_approx(p, c, m):
+    """Dominant small-outage monomial c * p**(-m).
+
+    Not clamped to [0, 1]; values above one simply mean the approximation
+    is outside its validity region.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p <= 0.0):
+        raise ValueError("transmit power must be > 0")
+    return c * p ** (-m)
+
+
+def relay_decode_prob(pe_user):
+    """Probability each relay decodes all M messages.
+
+    pe_user has shape (..., M, N); the product runs over the user axis.
+    """
+    pe_user = np.asarray(pe_user, dtype=float)
+    if np.any(pe_user < 0.0) or np.any(pe_user > 1.0):
+        raise ValueError("per-link outage probabilities must lie in [0, 1]")
+    return np.prod(1.0 - pe_user, axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,22 @@ class TestRngSpec:
         spec = RngSpec(seed=9, stream_id=3)
         assert spec.stream(2) == RngSpec(seed=9, stream_id=5)
 
+    def test_zero_jumps_is_the_stream(self):
+        spec = RngSpec(seed=123, stream_id=4)
+        a = spec.generator(0).random(32)
+        b = spec.generator().random(32)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("jumps", [1, 3])
+    def test_jumps_are_philox_substreams(self, jumps):
+        key = np.array([123, 4], dtype=np.uint64)
+        want = np.random.Generator(
+            np.random.Philox(key=key).jumped(jumps)).random(32)
+        got = RngSpec(seed=123, stream_id=4).generator(jumps).random(32)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(
+            got, RngSpec(seed=123, stream_id=4).generator().random(32))
+
 
 class TestGainSampler:
     def test_rayleigh_mean(self):
@@ -267,10 +283,26 @@ class TestEstimateOutage:
         assert np.array_equal(whole.outage_count, out)
         assert np.array_equal(whole.decode_count, dec)
 
+    def test_thread_count_does_not_change_counts(self, monkeypatch):
+        """Chunks are substreams whose counts are summed, so one thread
+        and three threads give the same tallies bit for bit."""
+        cfg, pol = toy_point(M=2, N=2, K=2)
+        counts = []
+        for cpus in (1, 3):
+            monkeypatch.setattr("eecoop.montecarlo.os.cpu_count",
+                                lambda cpus=cpus: cpus)
+            res = estimate_outage(cfg, pol, 10_001, RngSpec(seed=19),
+                                  n_streams=3, chunk_size=700)
+            counts.append((res.outage_count.tolist(),
+                           res.decode_count.tolist(), res.ee))
+        assert counts[0] == counts[1]
+
     def test_chunk_size_keys_draws(self):
         """chunk_size is part of the reproducibility key: each chunk draws
-        its first-hop block for all its trials before the second hop, so
-        another chunk size gives another (equally valid) realization."""
+        from its own substream, its first-hop block for all its trials
+        before the second hop, so another chunk size gives another
+        (equally valid) realization.  A stream that fits in one chunk
+        draws the unjumped stream."""
         cfg, pol = toy_point(M=2, N=2, K=2)
         counts = {}
         for chunk in (1 << 20, 977):
@@ -279,18 +311,18 @@ class TestEstimateOutage:
             counts[chunk] = (res.outage_count.tolist(),
                              res.decode_count.tolist())
         assert counts[1 << 20] == ([741, 748], [[9745, 9746], [9726, 9742]])
-        assert counts[977] == ([779, 702], [[9732, 9716], [9758, 9763]])
+        assert counts[977] == ([717, 771], [[9758, 9738], [9746, 9719]])
 
     # (m, chunk_size) -> (outage_count, decode_count) for 20,000 trials
     # over three streams on the reference geometry at 10 mW everywhere
     PINNED_COUNTS = {
         (0.5, 977): (
-            [9506, 9670, 9669, 9604, 9684, 9652, 9526, 9597, 9505, 9670],
-            [[11530, 14951, 13386, 7864], [11423, 14935, 13267, 7768],
-             [11429, 15032, 13351, 7857], [11507, 15000, 13249, 7923],
-             [11422, 14986, 13395, 7780], [11416, 15025, 13383, 7912],
-             [11635, 14878, 13351, 7739], [11492, 15016, 13340, 7881],
-             [11545, 14936, 13366, 7958], [11400, 14941, 13390, 7764]]),
+            [9451, 9599, 9556, 9602, 9547, 9601, 9540, 9583, 9582, 9598],
+            [[11507, 14908, 13394, 7974], [11522, 14887, 13387, 7803],
+             [11486, 14903, 13333, 7868], [11433, 15060, 13285, 7890],
+             [11484, 14924, 13291, 7904], [11548, 14944, 13385, 7871],
+             [11648, 14779, 13266, 7947], [11627, 14910, 13288, 7820],
+             [11331, 14901, 13424, 7911], [11577, 14974, 13380, 7733]]),
         (0.5, None): (
             [9551, 9514, 9696, 9736, 9616, 9460, 9617, 9611, 9524, 9626],
             [[11588, 14844, 13250, 7827], [11523, 14967, 13405, 7945],
@@ -299,12 +331,12 @@ class TestEstimateOutage:
              [11378, 14976, 13269, 7881], [11406, 15021, 13285, 7922],
              [11513, 14918, 13477, 7826], [11428, 15038, 13491, 7785]]),
         (1.0, 977): (
-            [2483, 2413, 2494, 2376, 2376, 2419, 2445, 2418, 2426, 2416],
-            [[16381, 18195, 17883, 12047], [16496, 18238, 17906, 12175],
-             [16527, 18224, 17920, 12069], [16483, 18245, 17973, 12304],
-             [16507, 18189, 17949, 12109], [16479, 18186, 17891, 12145],
-             [16357, 18170, 17924, 12082], [16443, 18224, 17939, 12118],
-             [16524, 18169, 17904, 12202], [16438, 18214, 17883, 12220]]),
+            [2497, 2387, 2452, 2462, 2349, 2386, 2391, 2369, 2405, 2397],
+            [[16422, 18184, 17920, 12009], [16518, 18185, 17876, 12262],
+             [16506, 18194, 17921, 12139], [16406, 18158, 17952, 12091],
+             [16494, 18266, 17885, 12231], [16468, 18258, 17961, 12151],
+             [16421, 18180, 17933, 12235], [16481, 18214, 17916, 12170],
+             [16582, 18181, 17902, 12174], [16511, 18234, 17938, 12115]]),
         (1.0, None): (
             [2375, 2395, 2394, 2402, 2447, 2369, 2386, 2405, 2482, 2358],
             [[16529, 18239, 17899, 12164], [16488, 18178, 17925, 12103],
@@ -313,12 +345,12 @@ class TestEstimateOutage:
              [16413, 18209, 17956, 12093], [16468, 18201, 17926, 12111],
              [16387, 18243, 17887, 12062], [16510, 18167, 17952, 12159]]),
         (2.5, 977): (
-            [66, 54, 74, 74, 52, 48, 69, 59, 73, 49],
-            [[19652, 19855, 19900, 17112], [19674, 19859, 19899, 17136],
-             [19650, 19879, 19918, 17026], [19695, 19866, 19923, 17017],
-             [19681, 19877, 19907, 16982], [19694, 19866, 19899, 17011],
-             [19647, 19860, 19919, 17048], [19684, 19860, 19924, 17050],
-             [19643, 19860, 19924, 17025], [19667, 19867, 19919, 16956]]),
+            [65, 58, 61, 60, 66, 59, 56, 57, 78, 53],
+            [[19686, 19859, 19915, 17118], [19668, 19845, 19922, 16974],
+             [19675, 19846, 19923, 17102], [19666, 19860, 19924, 17062],
+             [19645, 19863, 19913, 17084], [19702, 19871, 19902, 16998],
+             [19676, 19864, 19923, 17025], [19680, 19872, 19917, 17016],
+             [19663, 19867, 19902, 17023], [19679, 19861, 19920, 17018]]),
         (2.5, None): (
             [62, 53, 69, 75, 69, 66, 61, 64, 62, 63],
             [[19667, 19874, 19914, 17020], [19676, 19853, 19921, 17017],
@@ -353,9 +385,10 @@ class TestEstimateOutage:
             estimate_outage(cfg, pol, 100, RngSpec(seed=1), n_streams=0)
         with pytest.raises(ValueError):
             estimate_outage(cfg, pol, 100, RngSpec(seed=1), chunk_size=0)
-        with pytest.raises(ValueError):
-            estimate_outage(cfg, pol, 100,
-                            RngSpec(seed=1).generator(), n_streams=2)
+        for n_streams in (1, 2):
+            with pytest.raises(ValueError):
+                estimate_outage(cfg, pol, 100, RngSpec(seed=1).generator(),
+                                n_streams=n_streams)
 
     def test_result_shape(self):
         cfg, pol = toy_point(M=2, N=2, K=2)

@@ -26,15 +26,15 @@ from eecoop.outage import (
     network_outage_exact,
     network_outage_report,
     outage_tables,
-    per_link_outage_approx,
     per_link_outage_exact,
-    relay_decode_prob,
     relay_recursion,
 )
 from helpers import (
     expanded_outage_tables,
     expanded_per_user_tables,
     make_config,
+    per_link_outage_approx,
+    relay_decode_prob,
     tiled_config,
 )
 
