@@ -145,43 +145,53 @@ def uniform_power_policy(config: ScenarioConfig,
                "outage_ok": bool(np.all(outage.pr_out <= limit))})
 
 
-def _just_in_time_transfers(config: ScenarioConfig, p_u: np.ndarray):
+def _just_in_time(config: ScenarioConfig, need):
     """Cover per-period deficits with transfers from users in surplus.
 
-    Works period by period: each user short of energy pulls the missing
-    amount (scaled by 1/eta) from donors in index order, donors keeping
-    enough for their own transmission.  Deficits are met the moment they
-    occur, which wastes no energy on transfers that later turn out to be
-    unnecessary.  Returns the (K, M, M) transfer array, or None when some
-    deficit cannot be covered.
+    need[i][k] is user i's energy use in period k, in J: a float, or an
+    array broadcast over a mesh of schedules, each cell of which is then
+    completed on its own.  Works period by period: each user short of
+    energy pulls the missing amount (scaled by 1/eta) from donors in index
+    order, donors keeping enough for their own transmission.  Deficits are
+    met the moment they occur, which wastes no energy on transfers that
+    later turn out to be unnecessary; a deficit of at most 1e-15 J is
+    rounding dust and draws nothing.  Returns (feasible, loss, draws):
+    whether every deficit was covered to within 1e-12 J, the energy lost
+    in transfers (J), and draws[k][j][i], what user j sends user i in
+    period k (0.0 for j == i).
     """
-    M, K, T = config.M, config.K, config.T
-    eta = config.eta
-    battery = config.Eu_0.astype(float).copy()
-    transfers = np.zeros((K, M, M))
+    M, K, eta = config.M, config.K, config.eta
+    battery = list(config.Eu_0)
+    feasible, loss, draws = True, 0.0, []
+
+    def deficit(i, k):
+        short = need[i][k] - battery[i]
+        return np.where(short > 1e-15, short, 0.0)
+
     for k in range(K):
-        battery += config.arrivals[:, k]
-        need = p_u[:, k] * T
+        battery = [b + config.arrivals[i, k] for i, b in enumerate(battery)]
+        draws.append([[0.0] * M for _ in range(M)])
         for i in range(M):
-            deficit = need[i] - battery[i]
-            if deficit <= 1e-15:
-                continue
             for j in range(M):
-                if j == i or deficit <= 1e-15:
+                if j == i:
                     continue
-                spare = battery[j] - need[j]
-                if spare <= 0.0:
-                    continue
-                draw = min(spare, deficit / eta)
-                transfers[k, j, i] += draw
-                battery[j] -= draw
-                battery[i] += eta * draw
-                deficit = need[i] - battery[i]
-            if deficit > 1e-12:
-                return None
-        battery -= need
-        battery = np.maximum(battery, 0.0)  # wash out rounding dust
-    return transfers
+                spare = np.maximum(battery[j] - need[j][k], 0.0)
+                draw = np.minimum(spare, deficit(i, k) / eta)
+                battery[j] = battery[j] - draw
+                battery[i] = battery[i] + eta * draw
+                loss = loss + (1.0 - eta) * draw
+                draws[k][j][i] = draw
+            feasible = feasible & (deficit(i, k) <= 1e-12)
+        battery = [np.maximum(b - need[i][k], 0.0)
+                   for i, b in enumerate(battery)]
+    return feasible, loss, draws
+
+
+def _just_in_time_transfers(config: ScenarioConfig, p_u: np.ndarray):
+    """The (K, M, M) just-in-time transfer array for user powers p_u, or
+    None when some deficit cannot be covered."""
+    feasible, _, draws = _just_in_time(config, p_u * config.T)
+    return np.array(draws, dtype=float) if feasible else None
 
 
 # ---------------------------------------------------------------------------
@@ -302,61 +312,19 @@ class BruteForceResult:
     feasible: bool = False
 
 
-def _per_link_pe_grids(config: ScenarioConfig, user_grids, relay_grids):
-    """Exact per-link outage along each grid axis.
+def _per_link_pe_grids(config: ScenarioConfig, grids):
+    """Exact per-link outage along each power axis.
 
-    Returns pe_u[i, j, k] with shape (npts,) for user i's link to relay j on
-    user i's period-k grid, and pe_r[j, k] with shape (npts,) on relay j's
-    period-k grid.
+    grids[n * K + k] is node n's period-k grid, users then relays.
+    Returns pe_u[i, j, k] with shape (npts,) for user i's link to relay j
+    on user i's period-k grid, and pe_r[j, k] with shape (npts,) on relay
+    j's period-k grid.
     """
     f_u, f_r = link_b_factors(config)
-    pe_u = gammainc(config.m, f_u[:, :, None, None]
-                    / np.asarray(user_grids)[:, None])
-    pe_r = gammainc(config.m, f_r[:, None, None] / np.asarray(relay_grids))
+    grids = np.reshape(grids, (config.M + config.N, config.K, -1))
+    pe_u = gammainc(config.m, f_u[:, :, None, None] / grids[:config.M, None])
+    pe_r = gammainc(config.m, f_r[:, None, None] / grids[config.M:])
     return pe_u, pe_r
-
-
-def _completion_loss_grid(config: ScenarioConfig, user_grids):
-    """Vectorized just-in-time completion over the user-power mesh.
-
-    Returns (feasible mask, transfer loss in J), each shaped as the outer
-    product of the per-(user, period) grids, axes ordered user-major.
-    """
-    M, K, T = config.M, config.K, config.T
-    eta = config.eta
-    dims = [len(user_grids[i][k]) for i in range(M) for k in range(K)]
-    shape = tuple(dims)
-
-    def axis_view(i, k, arr):
-        view = [1] * (M * K)
-        view[i * K + k] = arr.shape[0]
-        return arr.reshape(view)
-
-    battery = [np.zeros(()) + config.Eu_0[i] for i in range(M)]
-    feasible = np.ones((), dtype=bool)
-    loss = np.zeros(())
-    for k in range(K):
-        need = []
-        for i in range(M):
-            battery[i] = battery[i] + config.arrivals[i, k]
-            need.append(axis_view(i, k, user_grids[i][k] * T))
-        for i in range(M):
-            deficit = np.maximum(need[i] - battery[i], 0.0)
-            for j in range(M):
-                if j == i:
-                    continue
-                spare = np.maximum(battery[j] - need[j], 0.0)
-                draw = np.minimum(spare, deficit / eta)
-                battery[j] = battery[j] - draw
-                battery[i] = battery[i] + eta * draw
-                loss = loss + (1.0 - eta) * draw
-                deficit = np.maximum(need[i] - battery[i], 0.0)
-            feasible = feasible & (deficit <= 1e-12)
-        for i in range(M):
-            battery[i] = np.maximum(battery[i] - need[i], 0.0)
-    feasible = np.broadcast_to(feasible, shape)
-    loss = np.broadcast_to(loss, shape)
-    return feasible, loss
 
 
 def grid_dimension_guard(config: ScenarioConfig) -> int:
@@ -393,16 +361,10 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
             f"{npts} points on {ndim} axes make {npts ** ndim} cells, above "
             f"the cell budget of {grid.cell_budget:g}")
 
-    lo_u = np.full((M, K), grid.p_floor)
-    hi_u = np.full((M, K), config.p_max)
-    lo_r = np.full((N, K), grid.p_floor)
-    hi_r = np.full((N, K), config.p_max)
-
-    def user_axis(i, k):
-        return i * K + k
-
-    def relay_axis(j, k):
-        return M * K + j * K + k
+    # one power axis per (node, period): node n, period k on axis
+    # n * K + k, users first
+    lo = np.full(ndim, grid.p_floor)
+    hi = np.full(ndim, config.p_max)
 
     def on_axis(arr, ax, rows):
         if ax == 0:
@@ -411,9 +373,12 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
         view[ax] = arr.shape[-1]
         return arr.reshape(view)
 
-    def mesh_ee(rows, pe_u, pe_r, user_grids, relay_grids, causal_ok, loss):
+    def mesh_ee(rows, grids, pe_u, pe_r):
         """EE over the mesh cells whose first-axis index is in rows."""
-        shape = (user_grids[0][0][rows].size,) + (npts,) * (ndim - 1)
+        shape = (grids[0][rows].size,) + (npts,) * (ndim - 1)
+        spend = [on_axis(grids[ax] * T, ax, rows) for ax in range(ndim)]
+        causal_ok, loss, _ = _just_in_time(
+            config, [spend[i * K:(i + 1) * K] for i in range(M)])
         bits = np.zeros(())
         out_ok = np.ones((), dtype=bool)
         for k in range(K):
@@ -422,32 +387,19 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
             for j in range(N):
                 rho_j = np.ones(())
                 for i in range(M):
-                    rho_j = rho_j * on_axis(1.0 - pe_u[i, j, k],
-                                            user_axis(i, k), rows)
+                    rho_j = rho_j * on_axis(1.0 - pe_u[i, j, k], i * K + k,
+                                            rows)
                 rho_list.append(np.broadcast_to(rho_j, shape))
                 per_list.append(np.broadcast_to(
-                    on_axis(pe_r[j, k], relay_axis(j, k), rows), shape))
+                    on_axis(pe_r[j, k], (M + j) * K + k, rows), shape))
             out_k = network_outage_exact(np.stack(rho_list),
                                          np.stack(per_list), M)[0]
             bits = bits + config.alpha0 * T * M * (1.0 - out_k)
             if enforce_outage:
                 out_ok = out_ok & (out_k <= config.pr_out_0
                                    * (1.0 + OUTAGE_AUDIT_RTOL))
-
-        energy = np.zeros(())
-        for i in range(M):
-            for k in range(K):
-                energy = energy + on_axis(user_grids[i][k] * T,
-                                          user_axis(i, k), rows)
-        for j in range(N):
-            for k in range(K):
-                energy = energy + on_axis(relay_grids[j][k] * T,
-                                          relay_axis(j, k), rows)
-        lift = tuple([slice(None)] * (M * K) + [None] * (N * K))
-        energy = energy + loss[rows][lift]
-        mask = np.broadcast_to(causal_ok[rows][lift], shape) \
-            & np.broadcast_to(out_ok, shape)
-        return np.where(mask, bits / energy, -np.inf)
+        mask = np.broadcast_to(causal_ok & out_ok, shape)
+        return np.where(mask, bits / (sum(spend) + loss), -np.inf)
 
     # the mesh is evaluated a block of first-axis rows at a time, so no
     # per-cell array spans the whole mesh; rows ascend and only a strictly
@@ -458,22 +410,16 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
     best_ee = -np.inf
     evaluations = 0
     for _round in range(grid.refine_rounds):
-        user_grids = [[np.exp(np.linspace(math.log(lo_u[i, k]),
-                                          math.log(hi_u[i, k]), npts))
-                       for k in range(K)] for i in range(M)]
-        relay_grids = [[np.exp(np.linspace(math.log(lo_r[j, k]),
-                                           math.log(hi_r[j, k]), npts))
-                        for k in range(K)] for j in range(N)]
-        pe_u, pe_r = _per_link_pe_grids(config, user_grids, relay_grids)
-        causal_ok, loss = _completion_loss_grid(config, user_grids)
+        grids = [np.exp(np.linspace(math.log(lo[ax]), math.log(hi[ax]), npts))
+                 for ax in range(ndim)]
+        pe_u, pe_r = _per_link_pe_grids(config, grids)
         evaluations += npts ** ndim
 
         round_ee = -np.inf
         multi = None
         for start in range(0, npts, step):
             rows = slice(start, start + step)
-            ee = mesh_ee(rows, pe_u, pe_r, user_grids, relay_grids,
-                         causal_ok, loss)
+            ee = mesh_ee(rows, grids, pe_u, pe_r)
             idx = int(np.argmax(ee))
             if ee.flat[idx] > round_ee:
                 round_ee = float(ee.flat[idx])
@@ -481,38 +427,23 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
                 multi = (start + multi[0],) + multi[1:]
         if not np.isfinite(round_ee):
             continue  # nothing feasible on this mesh; keep the same range
-        cand_pu = np.array([[user_grids[i][k][multi[user_axis(i, k)]]
-                             for k in range(K)] for i in range(M)])
-        cand_pr = np.array([[relay_grids[j][k][multi[relay_axis(j, k)]]
-                             for k in range(K)] for j in range(N)])
         if round_ee > best_ee:
             best_ee = round_ee
-            best = (cand_pu, cand_pr)
+            best = np.array([g[n] for g, n in zip(grids, multi)])
 
-        for i in range(M):
-            for k in range(K):
-                width = (math.log(hi_u[i, k]) - math.log(lo_u[i, k])) \
-                    * grid.shrink
-                c = math.log(best[0][i, k])
-                lo_u[i, k] = max(grid.p_floor * 1e-3,
-                                 math.exp(c - width / 2))
-                hi_u[i, k] = min(config.p_max, math.exp(c + width / 2))
-        for j in range(N):
-            for k in range(K):
-                width = (math.log(hi_r[j, k]) - math.log(lo_r[j, k])) \
-                    * grid.shrink
-                c = math.log(best[1][j, k])
-                lo_r[j, k] = max(grid.p_floor * 1e-3,
-                                 math.exp(c - width / 2))
-                hi_r[j, k] = min(config.p_max, math.exp(c + width / 2))
+        for ax in range(ndim):
+            width = (math.log(hi[ax]) - math.log(lo[ax])) * grid.shrink
+            c = math.log(best[ax])
+            lo[ax] = max(grid.p_floor * 1e-3, math.exp(c - width / 2))
+            hi[ax] = min(config.p_max, math.exp(c + width / 2))
 
     if best is None:
         return BruteForceResult(status="infeasible", evaluations=evaluations)
-    p_u, p_r = best
-    transfers = _just_in_time_transfers(config, p_u)
-    if transfers is None:  # cannot happen: the mesh marked this point causal
-        return BruteForceResult(status="infeasible", evaluations=evaluations)
-    policy = Policy(p_u=p_u, p_r=p_r, transfers=transfers)
+    p_u = best[:M * K].reshape(M, K)
+    # the rule that marked this cell causal, on the cell's powers alone
+    transfers = np.array(_just_in_time(config, p_u * T)[2], dtype=float)
+    policy = Policy(p_u=p_u, p_r=best[M * K:].reshape(N, K),
+                    transfers=transfers)
     rep = network_outage_report(config, policy, mode="exact")
     ee = energy_efficiency(config, policy, rep.pr_out)
     return BruteForceResult(status="ok", policy=policy, ee=ee,

@@ -287,10 +287,10 @@ def _point_worker(task):
     """One sweep/compare point; module-level so a process pool can run it.
 
     Returns (index, rows, failed).  rows holds one dict per method, keyed
-    by CSV column, in the order of `methods`; the optimized row also
-    carries per-period outage in the requested mode as pr_out_1 ...
-    pr_out_K.  failed is True when a solve crashed or ended in a
-    non-infeasible failure state.
+    by CSV column, in the order of `methods`; given an outage mode
+    (sweep), the optimized row also carries per-period outage in that mode
+    as pr_out_1 ... pr_out_K.  failed is True when a solve crashed or ended
+    in a non-infeasible failure state.
     """
     idx, data, axis, value, mode, methods = task
     config = ScenarioConfig(**data)
@@ -339,7 +339,7 @@ def _point_worker(task):
                    transfers_total=float(res.policy.transfers.sum()),
                    pr_out_max=float(np.max(pr_out)))
 
-    if rows[0]["feasible"]:
+    if mode and rows[0]["feasible"]:
         rep = (full_res.outage_exact if mode == "exact" else
                network_outage_report(config, full_res.policy, mode=mode))
         for k, p in enumerate(np.atleast_1d(rep.pr_out)):
@@ -498,6 +498,9 @@ def _add_common(sp) -> None:
                     metavar="KEY=VALUE",
                     help="override a scenario entry before validation; "
                     "dotted paths index into arrays (repeatable)")
+
+
+def _add_outage_mode(sp) -> None:
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="outage_mode", action="store_const",
                        const="exact", help="report exact outage (default)")
@@ -515,6 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize", help="solve one scenario")
     _add_common(sp)
+    _add_outage_mode(sp)
     sp.set_defaults(func=cmd_optimize)
 
     sp = sub.add_parser("simulate", help="Monte Carlo outage estimate")
@@ -527,12 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="audit a stored policy")
     _add_common(sp)
+    _add_outage_mode(sp)
     sp.add_argument("--policy", required=True,
                     help="policy JSON (bare policy or optimize artifact)")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("sweep", help="re-optimize across one axis")
     _add_common(sp)
+    _add_outage_mode(sp)
     sp.add_argument("--sweep", required=True, action="append",
                     metavar="AXIS=V1,V2,...", help=f"axis in {SWEEP_AXES}")
     sp.set_defaults(func=cmd_table, compare=False)
@@ -542,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweep", action="append", metavar="AXIS=V1,V2,...",
                     help="optional axis; default: one point at the "
                     "scenario's own outage threshold")
-    sp.set_defaults(func=cmd_table, compare=True)
+    # compare's CSV has no per-period outage columns
+    sp.set_defaults(func=cmd_table, compare=True, outage_mode=None)
     return parser
 
 

@@ -400,53 +400,50 @@ def _recursion_table(coeffs: LinkCoefficients, events) -> MonomialTable:
                          recursion=rec)
 
 
-def _expanded_table(coeffs: LinkCoefficients, event: str) -> MonomialTable:
-    """relay_recursion of event A or B run on sparse posynomials; rows are
-    merged and sorted lexicographically by exponent counts."""
+def _expanded_table(coeffs: LinkCoefficients, part) -> MonomialTable:
+    """relay_recursion of each event in part run on sparse posynomials;
+    an event's rows are merged and sorted lexicographically by exponent
+    counts, and A's rows come before B's."""
     (M, N), m = coeffs.c_u.shape, coeffs.m
     dims, place = _key_layout(M, N)
     f = [_Posynomial.merged(place[:M], coeffs.c_u[:, j]) for j in range(N)]
-    P = np.full((M + 1, M), _ZERO, dtype=object)
-    P[0, 0] = _ONE
-    if event == "A":
-        return relay_recursion(((f_j, _ONE, _ZERO) for f_j in f),
-                               P)[0].table(dims, M, m)
     g = [_Posynomial(place[M + j:M + j + 1], coeffs.c_r[j:j + 1])
          for j in range(N)]
-    return relay_recursion(zip(f, g, [_ONE] * N), P)[1].table(dims, M, m)
+    sums = []
+    for event in part:
+        P = np.full((M + 1, M), _ZERO, dtype=object)
+        P[0, 0] = _ONE
+        weights = (((f_j, _ONE, _ZERO) for f_j in f) if event == "A"
+                   else zip(f, g, [_ONE] * N))
+        sums.append(relay_recursion(weights, P)["AB".index(event)])
+    return _Posynomial(np.concatenate([s.keys for s in sums]),
+                       np.concatenate([s.coef for s in sums])
+                       ).table(dims, M, m)
 
 
-def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int):
-    """Monomial tables (A part, B part) of the approximate outage.
+def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int,
+                        parts=("A", "B")):
+    """Monomial tables of the approximate outage, one per part.
 
-    Relay j misses a decode with f_j = sum_i c_u[i, j] * p_i**-m and fails
-    to forward with g_j = c_r[j] * q_j**-m.  A is relay_recursion on the
-    weights (f_j, 1, 0), B on (f_j, g_j, 1).  A part of more than
-    RECURSION_MIN_TERMS terms is never expanded and evaluates by
-    OutageRecursion; a smaller one is expanded by running relay_recursion
-    on sparse posynomials.
+    A part is "A", "B" or "AB", the sum of both, which loses all M
+    messages of a period.  Relay j misses a decode with f_j = sum_i
+    c_u[i, j] * p_i**-m and fails to forward with g_j = c_r[j] * q_j**-m.
+    A is relay_recursion on the weights (f_j, 1, 0), B on (f_j, g_j, 1).
+    A part of more than RECURSION_MIN_TERMS terms is never expanded and
+    evaluates by OutageRecursion; a smaller one is expanded by running
+    relay_recursion on sparse posynomials.
     """
     if coeffs.c_u.shape != (M, N) or coeffs.c_r.shape != (N,):
         raise ValueError("link coefficient shapes do not match (M, N)")
-    return tuple(_recursion_table(coeffs, (event,))
-                 if _term_count(M, N, event) > RECURSION_MIN_TERMS
-                 else _expanded_table(coeffs, event) for event in "AB")
+    return tuple(_recursion_table(coeffs, part)
+                 if sum(_term_count(M, N, e) for e in part)
+                 > RECURSION_MIN_TERMS
+                 else _expanded_table(coeffs, part) for part in parts)
 
 
 def outage_tables(coeffs: LinkCoefficients, M: int, N: int):
-    """The (A part, B part) monomial tables the solver evaluates."""
-    return build_outage_tables(coeffs, M, N)
-
-
-def coded_outage_table(coeffs: LinkCoefficients, parts) -> MonomialTable:
-    """Parts A and B as one table, which loses all M messages of a period:
-    by OutageRecursion on both events above RECURSION_MIN_TERMS terms in
-    all, else the terms of both parts."""
-    tA, tB = parts
-    if tA.n_terms + tB.n_terms > RECURSION_MIN_TERMS:
-        return _recursion_table(coeffs, ("A", "B"))
-    return MonomialTable(coef=np.concatenate([tA.coef, tB.coef]),
-                         w=np.vstack([tA.w, tB.w]), M=tA.M, N=tA.N, m=tA.m)
+    """The solver's tables: parts A and B as one ("AB")."""
+    return build_outage_tables(coeffs, M, N, parts=("AB",))
 
 
 def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):
@@ -463,7 +460,7 @@ def network_outage_approx(p_u, p_r, coeffs: LinkCoefficients):
     if np.any(p_u <= 0.0) or np.any(p_r <= 0.0):
         raise ValueError("approximate outage needs strictly positive powers")
     M, N = coeffs.c_u.shape
-    table_A, table_B = outage_tables(coeffs, M, N)
+    table_A, table_B = build_outage_tables(coeffs, M, N)
     x = np.log(np.concatenate([p_u, p_r]))
     pr_A = table_A.value(x)
     pr_B = table_B.value(x)

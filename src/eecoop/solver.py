@@ -50,7 +50,7 @@ from .model import (
     total_energy,
     validate_policy,
 )
-from .outage import coded_outage_table, network_outage_report, outage_tables
+from .outage import network_outage_report, outage_tables
 
 INF = float("inf")
 # A Newton stage has converged once its whole Armijo margin 0.25 * lambda^2
@@ -371,8 +371,7 @@ class Objective:
 def _coded_tables(coeffs: LinkCoefficients, M: int, N: int):
     """(tables, weights) of the network-coded outage: parts A and B as one
     table, which loses all M messages of a period."""
-    table = coded_outage_table(coeffs, outage_tables(coeffs, M, N))
-    return [table], [float(M)]
+    return list(outage_tables(coeffs, M, N)), [float(M)]
 
 
 class EEProblem:

@@ -21,6 +21,7 @@ from eecoop.baselines import (
     per_user_outage_exact,
     relay_assignment,
     uniform_power_policy,
+    _just_in_time,
     _just_in_time_transfers,
 )
 from eecoop.model import (
@@ -398,6 +399,48 @@ class TestJustInTime:
         cfg = replace(cfg, arrivals=np.array([[0.0], [1.2]]))
         assert _just_in_time_transfers(cfg, np.ones((2, 1))) is None
 
+    @pytest.mark.parametrize("M,K", [(2, 1), (2, 3), (3, 2)])
+    def test_mesh_cells_match_float_calls(self, M, K):
+        """One call on a mesh of schedules (three energies per user and
+        period) completes every cell bit for bit as the float call on that
+        cell alone.  In the middle row user 0 meets period 0 with a deficit
+        of one ulp, at most 1e-15 J: that is dust, and it draws nothing
+        although the other users have energy to spare."""
+        rng = np.random.default_rng([M, K])
+        cfg = solver_toy(M=M, K=K, eta=0.7, arrival_lo=0.5, arrival_hi=3.0,
+                         Eu_0=rng.uniform(0.0, 1.0, M))
+        ndim = M * K
+        start = cfg.Eu_0[0] + cfg.arrivals[0, 0]
+        # 0.2 J is always covered, 20 J never
+        values = [np.array([0.2, rng.uniform(0.0, 3.0), 20.0])
+                  for _ in range(ndim)]
+        values[0][1] = np.nextafter(start, np.inf)
+        assert 0.0 < values[0][1] - start <= 1e-15
+
+        def on_axis(ax):
+            return values[ax].reshape([-1 if a == ax else 1
+                                       for a in range(ndim)])
+
+        shape = (3,) * ndim
+        mesh = _just_in_time(
+            cfg, [[on_axis(i * K + k) for k in range(K)] for i in range(M)])
+
+        def at(arr, cell):
+            return np.broadcast_to(arr, shape)[cell]
+
+        for cell in np.ndindex(shape):
+            feasible, loss, draws = _just_in_time(
+                cfg, [[values[i * K + k][cell[i * K + k]] for k in range(K)]
+                      for i in range(M)])
+            assert at(mesh[0], cell) == feasible
+            assert at(mesh[1], cell).tobytes() == np.float64(loss).tobytes()
+            assert np.array([[[at(d, cell) for d in row] for row in period]
+                             for period in mesh[2]]).tobytes() \
+                == np.array(draws, dtype=float).tobytes()
+            if cell[0] == 1:  # the dust deficit: user 0 receives nothing
+                assert not any(draws[0][j][0] for j in range(M))
+        assert np.any(mesh[0]) and not np.all(mesh[0])
+
 
 class TestBruteForce:
     def test_dimension_guard(self):
@@ -455,6 +498,22 @@ class TestBruteForce:
         assert bf.status == "ok"
         report = validate_policy(cfg, bf.policy)
         assert report.feasible
+
+    def test_pinned_on_two_user_toy(self):
+        """The acceptance-6 toy with two users, where the completion draws
+        a transfer, pinned to its recorded result: an edit of the oracle
+        that moves the reference shows here."""
+        cfg = solver_toy(M=2, N=2, K=1, d=3.0, pr_out_0=2e-3,
+                         arrival_lo=6.0, arrival_hi=10.0)
+        bf = brute_force_optimize(cfg)
+        assert (bf.status, bf.feasible) == ("ok", True)
+        assert bf.ee == pytest.approx(6330.724069819374, rel=1e-12)
+        for got, pinned in (
+                (bf.policy.p_u, [[8.507124989622259], [9.561440861004627]]),
+                (bf.policy.p_r, [[6.7292637861260785], [6.7292637861260785]]),
+                (bf.policy.transfers, [[[0.0, 0.0],
+                                        [0.008428904004489368, 0.0]]])):
+            np.testing.assert_allclose(got, pinned, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         cfg = solver_toy(M=1, N=2, K=1, d=3.5, pr_out_0=1e-6, seed=3,

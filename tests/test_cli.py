@@ -91,6 +91,16 @@ class TestInputErrors:
                            "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("flag", ["--approx", "--exact"])
+    def test_outage_mode_flag_refused(self, toy_path, command, flag, capsys):
+        """simulate and compare report no outage in a selectable mode, so
+        the parser refuses the flags with its usage exit code."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--scenario", str(toy_path), flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_artifact_structure_and_exit(self, toy_path):

@@ -21,7 +21,6 @@ from eecoop.outage import (
     MonomialTable,
     _term_count,
     build_outage_tables,
-    coded_outage_table,
     network_outage_approx,
     network_outage_exact,
     network_outage_report,
@@ -459,8 +458,8 @@ class TestRecursionEvaluator:
     @staticmethod
     def event_tables(coeffs, M, N):
         """Parts A and B, and the solver's A+B table."""
-        tA, tB = build_outage_tables(coeffs, M, N)
-        return {"A": tA, "B": tB, "A+B": coded_outage_table(coeffs, (tA, tB))}
+        return dict(zip(("A", "B", "A+B"), build_outage_tables(
+            coeffs, M, N, parts=("A", "B", "AB"))))
 
     def by_recursion_and_terms(self, monkeypatch, coeffs, M, N):
         """event_tables built as recursions, even empty ones (part B with
@@ -521,6 +520,23 @@ class TestRecursionEvaluator:
         assert all(t.recursion is None
                    for t in build_per_user_tables(wide, 3, 8))
 
+    def test_solver_table_expands_no_unused_part(self, monkeypatch):
+        """outage_tables gives the solver one table of parts A and B: at
+        the wide-network geometry it is the recursion, and neither part is
+        expanded; on the reference it holds A's rows, then B's."""
+        expanded = []
+        expand = outage._expanded_table
+        monkeypatch.setattr(outage, "_expanded_table",
+                            lambda *a: expanded.append(a[1]) or expand(*a))
+        (wide,) = outage_tables(TestRecursionTables.wide_coeffs(3, 8), 3, 8)
+        assert wide.recursion.events == ("A", "B") and expanded == []
+        ref = compute_link_coefficients(load_scenario(REFERENCE))
+        (table,) = outage_tables(ref, 2, 4)
+        assert expanded == ["AB"]
+        tA, tB = build_outage_tables(ref, 2, 4)
+        assert np.array_equal(table.coef, np.concatenate([tA.coef, tB.coef]))
+        assert np.array_equal(table.w, np.vstack([tA.w, tB.w]))
+
     def test_overflow_reads_inf(self, monkeypatch):
         """A weight that overflows makes the recursion's states inf or
         nan (inf * 0); the value then reads +inf, as the terms do, and the
@@ -543,7 +559,7 @@ class TestNetworkOutageApprox:
     def test_matches_tables(self):
         cfg = make_config()
         coeffs = compute_link_coefficients(cfg)
-        tA, tB = outage_tables(coeffs, 2, 2)
+        tA, tB = build_outage_tables(coeffs, 2, 2)
         rng = np.random.default_rng(41)
         p_u = rng.uniform(0.5, 10.0, size=2)
         p_r = rng.uniform(0.5, 10.0, size=2)
