@@ -509,8 +509,20 @@ def _add_outage_mode(sp) -> None:
     sp.set_defaults(outage_mode="exact")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals become the exit-2 JSON record.
+
+    The usage text still goes to stderr; the subcommand parsers share the
+    class, so their refusals take the same path.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_INVALID, "invalid_input", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eecoop",
         description="Energy-efficiency experiments for network-coded "
                     "multi-user relay networks")
@@ -554,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         return _error_record(e.kind, e.code, str(e))

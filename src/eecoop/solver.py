@@ -14,8 +14,12 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
 is convex and solved with a log-barrier interior-point method using damped
 Newton steps and a dense Cholesky factorization.  A barrier stage ends when
 the Newton decrement is small or when the line search's Armijo margin is
-below what the barrier value can resolve.  Solutions are audited against
-the exact outage expression afterwards.
+below what the barrier value can resolve.  The first inner solve starts
+its barrier path at t = T0 from the phase-1 point; each later one starts
+from the previous solve's optimum at that solve's final t, so it re-centres
+at the last stage instead of walking back to the t = T0 centre (Boyd &
+Vandenberghe, Convex Optimization, Sec. 11.3).  Solutions are audited
+against the exact outage expression afterwards.
 
 Every barrier evaluation assembles all periods in one pass.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
@@ -816,17 +820,21 @@ class InnerResult:
     t_final: float
 
 
-def inner_solve(problem: EEProblem, q: float, z0: np.ndarray) -> InnerResult:
+def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
+                t0: float = T0) -> InnerResult:
     """Barrier path following for the convex inner problem at parameter q.
 
-    z0 must be strictly feasible.  Returns the central-path point whose
-    duality-gap estimate (constraint count / barrier parameter) is at or
-    below KKT_TOL.
+    z0 must be strictly feasible.  The path starts at barrier parameter t0
+    and grows it by BARRIER_MU until the duality-gap estimate (constraint
+    count / barrier parameter) is at or below KKT_TOL; it returns the
+    centred point of that last stage.  A start at the optimum of a nearby
+    problem can pass that solve's t_final: its one stage then re-centres
+    in place instead of walking back to the centre of t = T0.
     """
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
     z = z0.copy()
-    t = T0
+    t = t0
     total = 0
     while True:
         z, it, _conv = _damped_newton(
@@ -1084,9 +1092,12 @@ def dinkelbach_optimize(config: ScenarioConfig,
         trace = []
         status = "max_iterations"
         total_iters = 0
+        # the phase-1 point is far from the central path, so the first
+        # solve starts at T0; each later one starts at the last optimum
+        t = T0
         for _outer in range(MAX_OUTER):
-            res = inner_solve(problem, q, z)
-            z = res.z
+            res = inner_solve(problem, q, z, t)
+            z, t = res.z, res.t_final
             energy, bits = problem.objective.energy_and_bits(
                 z, problem.tables_at(z))
             V = bits - q * energy

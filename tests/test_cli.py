@@ -93,13 +93,36 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("flag", ["--approx", "--exact"])
-    def test_outage_mode_flag_refused(self, toy_path, command, flag, capsys):
+    def test_outage_mode_flag_refused(self, toy_path, command, flag):
         """simulate and compare report no outage in a selectable mode, so
-        the parser refuses the flags with its usage exit code."""
+        the parser refuses the flags with the exit-2 record."""
+        code, out = run_cli([command, "--scenario", toy_path, flag])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert (err["kind"], err["code"]) == ("invalid_input", 2)
+        assert flag in err["message"]
+
+    @pytest.mark.parametrize("argv, word", [
+        (["optimize", "--scenario", "{toy}", "--no-such-flag"],
+         "--no-such-flag"),
+        (["optimize"], "--scenario"),
+    ])
+    def test_parser_refusal_is_json_record(self, toy_path, argv, word,
+                                           capsys):
+        """An unknown flag or a missing required one gets the same record
+        on stdout; the usage text stays on stderr."""
+        code, out = run_cli([a.format(toy=toy_path) for a in argv])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert (err["kind"], err["code"]) == ("invalid_input", 2)
+        assert word in err["message"]
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--scenario", str(toy_path), flag])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+            cli.main(["optimize", "--help"])
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
 
 
 class TestOptimize:
