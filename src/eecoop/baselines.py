@@ -16,19 +16,16 @@ from scipy.special import gammainc
 
 from .model import (
     OUTAGE_AUDIT_RTOL,
-    LinkCoefficients,
     Policy,
     ScenarioConfig,
     compute_link_coefficients,
     energy_efficiency,
+    link_b_factors,
     total_energy,
     validate_policy,
 )
 from .outage import (
-    _ONE,
-    _Posynomial,
-    _key_layout,
-    link_b_factors,
+    build_per_user_tables,
     network_outage_exact,
     network_outage_report,
 )
@@ -77,20 +74,16 @@ def no_transfer_policy(config: ScenarioConfig) -> SolveResult:
     return dinkelbach_optimize(config, transfers=False)
 
 
-def depleted_energy_policy(config: ScenarioConfig,
-                           allow_transfers: bool = False) -> SolveResult:
+def depleted_energy_policy(config: ScenarioConfig) -> SolveResult:
     """Users spend each period exactly what that period provides.
 
-    Per-period consumption is pinned to the per-period harvest, so no
-    energy is banked between periods and, by default, none moves between
-    users either; relay powers are still optimized.  The gap between this
-    baseline and the transfer-free optimum then isolates the value of
-    scheduling energy across periods.  With ``allow_transfers=True`` the
-    pinned budgets may additionally be reshaped by optimized inter-user
-    transfers.
+    Each user's power is pinned to its per-period harvest over T (the
+    initial battery counts in period 1), so no energy is banked between
+    periods and none moves between users; relay powers are still
+    optimized.  The gap between this baseline and the transfer-free
+    optimum then isolates the value of scheduling energy across periods.
     """
-    return dinkelbach_optimize(config, depleted=True,
-                               transfers=allow_transfers)
+    return dinkelbach_optimize(config, depleted=True)
 
 
 def uniform_power_policy(config: ScenarioConfig,
@@ -211,26 +204,6 @@ def relay_assignment(M: int, N: int):
     return [[j for j in range(N) if j % M == i] for i in range(M)]
 
 
-def build_per_user_tables(coeffs: LinkCoefficients, M: int, N: int):
-    """Posynomial upper bounds on per-user outage without network coding.
-
-    Message i is lost when it fails through every relay assigned to user
-    i: relay j fails it when it cannot decode (c_ij * p_i**-m) or its
-    forwarding transmission fails (c_j * q_j**-m).  Each user's table is
-    the product of these two-term sums over its assigned relays, with
-    identical exponent rows merged.
-    """
-    dims, place = _key_layout(M, N)
-    tables = []
-    for i, assigned in enumerate(relay_assignment(M, N)):
-        posy = _ONE
-        for j in assigned:
-            posy = posy * _Posynomial.merged(
-                place[[i, M + j]], [coeffs.c_u[i, j], coeffs.c_r[j]])
-        tables.append(posy.table(dims, M, coeffs.m))
-    return tables
-
-
 def per_user_outage_exact(config: ScenarioConfig, policy: Policy):
     """Exact per-user outage, shape (M, K), for per-message DF relaying.
 
@@ -276,10 +249,15 @@ def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
     (relay_assignment) and the outage target applies to every user
     separately.  Channel uses and energy slots match the network-coded
     protocol: every relay still transmits once per period.  The returned
-    result's outage report carries the per-user outage matrix.
+    result's outage report carries the per-user outage matrix.  With fewer
+    relays than users some user has no relay and loses its message with
+    probability one, so the result is infeasible with binding class
+    outage.
     """
-    coeffs = compute_link_coefficients(config)
-    tables = build_per_user_tables(coeffs, config.M, config.N)
+    if config.N < config.M:
+        return SolveResult(status="infeasible", binding_class="outage")
+    tables = build_per_user_tables(compute_link_coefficients(config),
+                                   relay_assignment(config.M, config.N))
     return dinkelbach_optimize(
         config, tables_weights=(tables, [1.0] * config.M), audit=_nonc_audit)
 

@@ -158,18 +158,25 @@ def snr_gap(config: ScenarioConfig) -> float:
     return 2.0 ** (config.alpha0 / config.B) - 1.0
 
 
-def compute_link_coefficients(config: ScenarioConfig) -> LinkCoefficients:
-    """Closed-form monomial coefficients for every link of the scenario.
+def link_b_factors(config: ScenarioConfig):
+    """Numerators of the incomplete-gamma argument: b = factor / p.
 
-    c = (m * gap * N0 * B / (d**(-beta) * omega))**m / Gamma(m + 1)
-    where gap = 2**(alpha0 / B) - 1.
+    factor = m * gap * N0 * B / (d**(-beta) * omega), (M, N) for the first
+    hop and (N,) for the second, where gap = 2**(alpha0 / B) - 1.
     """
-    m = config.m
     gap = snr_gap(config)
-    gain_u = config.d_h ** (-config.beta_h) * config.omega_h
-    gain_r = config.d_g ** (-config.beta_g) * config.omega_g
-    c_u = (m * gap * config.N0_h * config.B / gain_u) ** m / gamma_fn(m + 1.0)
-    c_r = (m * gap * config.N0_g * config.B / gain_r) ** m / gamma_fn(m + 1.0)
+    f_u = config.m * gap * config.N0_h * config.B / (
+        config.d_h ** (-config.beta_h) * config.omega_h)
+    f_r = config.m * gap * config.N0_g * config.B / (
+        config.d_g ** (-config.beta_g) * config.omega_g)
+    return f_u, f_r
+
+
+def compute_link_coefficients(config: ScenarioConfig) -> LinkCoefficients:
+    """Closed-form monomial coefficients for every link of the scenario:
+    c = factor**m / Gamma(m + 1), factor from link_b_factors."""
+    m = config.m
+    c_u, c_r = (f ** m / gamma_fn(m + 1.0) for f in link_b_factors(config))
     if np.any(c_u <= 0) or np.any(c_r <= 0):
         raise ValueError("link coefficients must be strictly positive")
     return LinkCoefficients(c_u=c_u, c_r=c_r, m=m)

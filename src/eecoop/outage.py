@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .model import LinkCoefficients, Policy, ScenarioConfig, snr_gap
+from .model import LinkCoefficients, Policy, ScenarioConfig, link_b_factors
 
 # Tables with more terms than this are never expanded and evaluate by
 # OutageRecursion, smaller ones term by term.  A Newton step
@@ -394,6 +394,28 @@ def _key_layout(M: int, N: int):
                                       dims)
 
 
+def build_per_user_tables(coeffs: LinkCoefficients, groups):
+    """Posynomial upper bounds on per-user outage without network coding.
+
+    groups[i] lists the relays that forward user i's message, and the
+    message is lost when it fails through every one of them: relay j fails
+    it when it cannot decode (c_u[i, j] * p_i**-m) or its forwarding
+    transmission fails (c_r[j] * q_j**-m).  Each user's table is the
+    product of these two-term sums over its relays, with identical
+    exponent rows merged.
+    """
+    M, N = coeffs.c_u.shape
+    dims, place = _key_layout(M, N)
+    tables = []
+    for i, assigned in enumerate(groups):
+        posy = _ONE
+        for j in assigned:
+            posy = posy * _Posynomial.merged(
+                place[[i, M + j]], [coeffs.c_u[i, j], coeffs.c_r[j]])
+        tables.append(posy.table(dims, M, coeffs.m))
+    return tables
+
+
 def _recursion_table(coeffs: LinkCoefficients, events) -> MonomialTable:
     rec = OutageRecursion(coeffs, events)
     return MonomialTable(coef=None, w=None, M=rec.M, N=rec.N, m=rec.m,
@@ -484,16 +506,6 @@ class OutageReport:
     pe_user: np.ndarray    # (M, N, K)
     pe_relay: np.ndarray   # (N, K)
     rho: np.ndarray        # (N, K)
-
-
-def link_b_factors(config: ScenarioConfig):
-    """Numerators of the incomplete-gamma argument: b = factor / p."""
-    gap = snr_gap(config)
-    f_u = config.m * gap * config.N0_h * config.B / (
-        config.d_h ** (-config.beta_h) * config.omega_h)
-    f_r = config.m * gap * config.N0_g * config.B / (
-        config.d_g ** (-config.beta_g) * config.omega_g)
-    return f_u, f_r
 
 
 def network_outage_report(config: ScenarioConfig, policy: Policy,

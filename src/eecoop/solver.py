@@ -25,11 +25,9 @@ Every barrier evaluation assembles all periods in one pass.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
 per-period values, gradients and (K, M+N, M+N) Hessians that the objective
 and the outage constraints share; each table's Hessians enter the Newton
-matrix in one block add over the periods' variable indices.  The depleted
-variant's log-budget user coordinates are folded in by a Jacobian and a
-curvature term.  Causality and budget rows are two dense matrices, one of
-exponential and one of linear coefficients, so their Hessian is one
-Jacobian product plus a diagonal.  Each barrier form is one pass whose
+matrix in one block add over the periods' variable indices.  Causality
+rows are two dense matrices, one of exponential and one of linear
+coefficients, so their Hessian is one Jacobian product plus a diagonal.  Each barrier form is one pass whose
 derivatives are optional, so barrier_value is barrier_fgh's value by
 construction, bit for bit, as the stage stop rule requires.
 """
@@ -103,8 +101,8 @@ class Layout:
 
     Transfers are indexed by ordered user pairs (i, j), i != j: row p of
     `pairs` is (i, j) and row p of `pair_mat` holds that pair's K
-    coordinates.  The depleted variant eliminates user powers, so the user
-    block may be absent.
+    coordinates.  The depleted variant pins user powers, so the user block
+    may be absent.
     """
 
     M: int
@@ -205,19 +203,19 @@ class Bounds:
 
 
 class EnergyRows:
-    """Energy rows g = C @ exp(z) + A @ z - rhs <= 0, with C and A dense
-    (rows, dim) over the problem's variables.
+    """Causality rows g = C @ exp(z) + A @ z - rhs <= 0 of cumulative user
+    spending, with C and A dense (rows, dim) over the problem's variables.
 
-    Causality rows (cumulative user spending) and the depleted variant's
-    budget rows.  exp is taken only on the columns C uses, so a large
-    transfer coordinate cannot meet a zero coefficient as inf * 0.
+    exp is taken only on the columns C uses, so a large transfer
+    coordinate cannot meet a zero coefficient as inf * 0.
     """
 
-    def __init__(self, C, A, rhs, soft_class):
+    soft_class = "causality"
+
+    def __init__(self, C, A, rhs):
         self.C, self.A, self.rhs = C, A, rhs
         self.n, self.dim = A.shape
         self.exp_cols = np.flatnonzero(C.any(axis=0))
-        self.soft_class = soft_class
 
     def _exp_terms(self, z):
         """C * exp(z), entry by entry."""
@@ -281,8 +279,6 @@ class OutageCons:
         self.thr = float(thr)
 
     def values(self, ev):
-        if ev is None:
-            return np.full(self.n, INF)
         return (ev.values - self.thr).T.ravel()
 
     def barrier(self, ev, grad=None, H=None, soft=None):
@@ -339,17 +335,13 @@ class Objective:
 
     def energy_and_bits(self, z, ev):
         """(total energy in J, expected delivered bits) at z."""
-        energy = self._energy(z)[0]
-        if ev is None:
-            return energy, -INF
-        return energy, self.scale - self._lost_bits(ev)
+        return self._energy(z)[0], self.scale - self._lost_bits(ev)
 
     def fgh(self, z, q, ev, derivs=True):
         """(value, gradient, Hessian) at z, or (value, None, None) without
-        derivs; the value is INF when ev is None."""
+        derivs."""
         energy, e = self._energy(z)
-        f = INF if ev is None \
-            else (self._lost_bits(ev) + q * energy) / self.scale
+        f = (self._lost_bits(ev) + q * energy) / self.scale
         if not derivs:
             return f, None, None
         D = z.shape[0]
@@ -359,8 +351,6 @@ class Objective:
             np.add.at(grad, self.lin_cols, q * self.lin_vals / self.scale)
         np.add.at(grad, self.exp_idx, q * e / self.scale)
         np.add.at(H, (self.exp_idx, self.exp_idx), q * e / self.scale)
-        if ev is None:
-            return f, grad, H
         w = self.table_bits / self.scale
         for w_t, g_t, h_t in zip(w, ev.grads, ev.hessians):
             grad[ev.idx] += w_t * g_t
@@ -383,8 +373,10 @@ class EEProblem:
 
     Period k sees the outage tables through its log powers x_k, users then
     relays.  In the standard variant these are plain variables.  The
-    depleted variant eliminates user powers: x_k[i] is the log of the
-    period budget over T, c0[i, k] + A[i] @ (transfers of period k).
+    depleted variant pins user i's power in period k to its harvest over T,
+    the initial battery counted in period 1, and has no transfers: its
+    variables are the relay log powers, and its user rows of x_k are
+    constants.
     """
 
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
@@ -396,7 +388,7 @@ class EEProblem:
         self.coeffs = coeffs
         self.threshold = float(threshold)
         self.depleted = depleted
-        transfers = transfers and M > 1
+        transfers = transfers and M > 1 and not depleted
         self.layout = Layout(M=M, N=N, K=K, with_users=not depleted,
                              with_transfers=transfers)
         lay = self.layout
@@ -406,16 +398,11 @@ class EEProblem:
             tables_weights = _coded_tables(coeffs, M, N)
         self.tables, self.table_weights = tables_weights
 
-        arrivals0 = config.arrivals.copy()
-        arrivals0[:, 0] += config.Eu_0
+        # per-period harvest (J), the initial battery counted in period 1
+        self.harvest = config.arrivals.copy()
+        self.harvest[:, 0] += config.Eu_0
         if depleted:
-            # pair (i, j) takes 1/T from user i's budget, gives eta/T to j
-            self.budget_c0 = arrivals0 / T
-            i, j = lay.pairs.T
-            self.budget_A = np.zeros((M, len(lay.pairs)))
-            self.budget_A[i, np.arange(len(i))] = -1.0 / T
-            self.budget_A[j, np.arange(len(j))] = config.eta / T
-            self.period_idx = np.vstack([lay.pair_mat, lay.relay_idx]).T
+            self.period_idx = lay.relay_idx.T
         else:
             self.period_idx = np.vstack([lay.user_idx, lay.relay_idx]).T
 
@@ -430,11 +417,14 @@ class EEProblem:
             np.concatenate([np.tile([hi, -lo], lay.dim - n_transfer),
                             np.tile([self.e_cap, 0.0], n_transfer)]))
 
-        lin_cols, lin_vals = [], []
+        # Outage constraints: every table of every period under threshold.
+        self.outage_cons = OutageCons(K * len(self.tables), self.threshold)
+        self.n_con = self.bounds.n + self.outage_cons.n
+        self.energy_rows = None
         if not depleted:
             # Cumulative causality, one row per (user, period): spending
             # and net transfers through period k within arrivals through k.
-            # The depleted equality makes it hold automatically.
+            # The depleted pin makes it hold automatically.
             through = np.tril(np.ones((K, K)))   # row k counts periods <= k
             C = np.zeros((M, K, lay.dim))
             A = np.zeros((M, K, lay.dim))
@@ -445,103 +435,59 @@ class EEProblem:
             A[receiver, :, lay.pair_mat] -= config.eta * through.T
             self.energy_rows = EnergyRows(
                 C.reshape(M * K, -1), A.reshape(M * K, -1),
-                np.cumsum(arrivals0, axis=1).ravel(), "causality")
-        else:
-            # eliminated powers must stay inside the power box, two rows
-            # per (period, user):
-            # budget/T >= P_MIN  ->  -budget_A @ e_k <= c0 - P_MIN
-            # budget/T <= p_max  ->   budget_A @ e_k <= p_max - c0
-            A = np.zeros((K, M, lay.dim))
-            for k in range(K):
-                A[k][:, lay.pair_mat[:, k]] = self.budget_A
-            c0 = self.budget_c0.T
-            self.energy_rows = EnergyRows(
-                np.zeros((2 * K * M, lay.dim)),
-                np.stack([-A, A], axis=2).reshape(2 * K * M, -1),
-                np.stack([c0 - P_MIN, config.p_max - c0],
-                         axis=2).ravel(), "power_budget")
-            # user energy = sum of budgets: linear in transfers
-            lin_cols = list(lay.pair_mat.T.ravel())
-            lin_vals = list(np.tile(T * self.budget_A.sum(axis=0), K))
+                np.cumsum(self.harvest, axis=1).ravel())
+            self.n_con += self.energy_rows.n
 
-        # Outage constraints: every table of every period under threshold.
-        self.outage_cons = OutageCons(K * len(self.tables), self.threshold)
-        self.n_con = self.bounds.n + self.energy_rows.n + self.outage_cons.n
-
-        # Objective pieces.
+        # Objective pieces; the depleted users spend their whole harvest.
         scale = M * K * config.alpha0 * T
         exp_idx = list(lay.relay_idx.ravel())
         exp_base = [T] * (N * K)
-        energy_const = 0.0
         if depleted:
-            energy_const += float(arrivals0.sum())
+            energy_const = float(self.harvest.sum())
         else:
+            energy_const = 0.0
             exp_idx += list(lay.user_idx.ravel())
             exp_base += [T] * (M * K)
-        lin_cols += list(lay.pair_mat.ravel())
-        lin_vals += [1.0 - config.eta] * lay.pair_mat.size
         self.objective = Objective(
             scale, [config.alpha0 * T * w for w in self.table_weights],
-            exp_idx, exp_base, lin_cols, lin_vals, energy_const)
+            exp_idx, exp_base, lay.pair_mat.ravel(),
+            [1.0 - config.eta] * lay.pair_mat.size, energy_const)
         self.scale = scale
 
         # phase-1 scaling per soft class
         self.soft_sigma = {
             "causality": max(1.0, total_energy_cap),
             "outage": self.threshold,
-            "power_budget": max(config.p_max, 1.0),
         }
 
     # -- evaluation helpers -------------------------------------------------
 
-    def budgets(self, z):
-        """Depleted variant: eliminated user powers (M, K), budget / T."""
-        return self.budget_c0 + self.budget_A @ z[self.layout.pair_mat]
-
     def tables_at(self, z, derivs=False):
-        """Every outage table at every period of z, as one TableEval.
-
-        Returns None when a depleted budget is not positive, which puts z
-        outside the domain of the log coordinates.
-        """
-        x_relay = z[self.layout.relay_idx]
+        """Every outage table at every period of z, as one TableEval; its
+        derivatives are taken with respect to the period's variables, so
+        the depleted variant's pinned user rows drop out."""
         if self.depleted:
-            u = self.budgets(z)
-            if not np.all(u > 0.0):
-                return None
-            x = np.vstack([np.log(u), x_relay])
+            x = np.vstack([np.log(self.harvest / self.config.T),
+                           z[self.layout.relay_idx]])
         else:
             x = z[self.period_idx.T]
         if not derivs:
             return TableEval(np.array([tb.value(x) for tb in self.tables]),
                              self.period_idx)
         parts = [tb.value_grad_hess(x) for tb in self.tables]
-        grads = np.stack([p[1].T for p in parts])
-        hessians = np.stack([p[2] for p in parts])
-        if self.depleted:
-            grads, hessians = self._pull_back_budgets(u, grads, hessians)
+        v = self.config.M if self.depleted else 0   # first variable row
         return TableEval(np.array([p[0] for p in parts]), self.period_idx,
-                         grads, hessians)
+                         np.stack([p[1][v:].T for p in parts]),
+                         np.stack([p[2][:, v:, v:] for p in parts]))
 
-    def _pull_back_budgets(self, u, grads, hessians):
-        """Derivatives in (log budget, relay) coordinates, taken to the
-        period's (transfer, relay) variables.
-
-        x_i = log(c0_i + A_i @ e) has Jacobian J_ip = A_ip / u_i and
-        curvature -J_ip J_iq, so the user block of the Hessian maps to
-        J^T (H_uu - diag(g_u)) J.
-        """
-        M = self.config.M
-        J = self.budget_A / u.T[:, :, None]                 # (K, M, P)
-        Jt = J.swapaxes(-1, -2)
-        g_u, g_r = grads[..., :M], grads[..., M:]
-        H_uu, H_ur = hessians[..., :M, :M], hessians[..., :M, M:]
-        H_pr = Jt @ H_ur
-        return (np.concatenate([(g_u[..., None, :] @ J)[..., 0, :], g_r],
-                               axis=-1),
-                np.block([[Jt @ (H_uu - g_u[..., None] * np.eye(M)) @ J,
-                           H_pr],
-                          [H_pr.swapaxes(-1, -2), hessians[..., M:, M:]]]))
+    def _soft_blocks(self, z, ev):
+        """(block, what it reads) per soft constraint block: the causality
+        rows, which the depleted variant has none of, read z and the
+        outage rows the shared TableEval."""
+        blocks = [(self.outage_cons, ev)]
+        if self.energy_rows is not None:
+            blocks.insert(0, (self.energy_rows, z))
+        return blocks
 
     def _barrier(self, z, t, derivs, q=None, sig=None):
         """One barrier pass: (value, grad, H), or (value, None, None)
@@ -574,9 +520,8 @@ class EEProblem:
         if sig is not None:
             # phase 1 leaves the tables unevaluated outside the power box
             ev = self.tables_at(z, derivs)
-        # the energy rows read z, the outage block the shared TableEval;
-        # sig softens both with the slack z[-1]
-        for blk, at in ((self.energy_rows, z), (self.outage_cons, ev)):
+        # sig softens every soft block with the slack z[-1]
+        for blk, at in self._soft_blocks(z, ev):
             soft = None if sig is None else \
                 (z[-1], z.size - 1, sig[blk.soft_class])
             phi = blk.barrier(at, grad, H, soft)
@@ -601,9 +546,8 @@ class EEProblem:
 
     def constraint_values(self, z):
         """(soft class, g) per constraint block; g < 0 is strictly inside."""
-        return [(self.energy_rows.soft_class, self.energy_rows.values(z)),
-                (self.outage_cons.soft_class,
-                 self.outage_cons.values(self.tables_at(z)))]
+        return [(blk.soft_class, blk.values(at))
+                for blk, at in self._soft_blocks(z, self.tables_at(z))]
 
     def strictly_feasible(self, z) -> bool:
         if np.any(self.bounds.values(z) >= 0.0):
@@ -652,10 +596,21 @@ class EEProblem:
         All powers start at the common level that parks the outage
         posynomials at half the threshold, so the stiff constraint class
         begins satisfied and phase 1 only has to negotiate the mildly
-        scaled energy rows.  The depleted variant has no free user
-        powers; its transfers are seeded per period instead.
+        scaled energy rows.  The depleted variant's pinned user powers
+        must lie inside the power box, or no point is feasible: a harvest
+        at or below 1.01 * P_MIN * T, or at or above p_max * T, raises
+        InfeasibleError.
         """
         cfg = self.config
+        if self.depleted:
+            outside = np.flatnonzero(np.any(
+                (self.harvest <= P_MIN * cfg.T * 1.01)
+                | (self.harvest >= cfg.p_max * cfg.T), axis=0))
+            if outside.size:
+                raise InfeasibleError(
+                    "power_budget",
+                    f"period {outside[0] + 1}: a user's harvest puts its "
+                    f"power outside [P_MIN, p_max]")
         lo, hi = math.log(P_MIN), math.log(cfg.p_max)
         margin = 1e-4 * (hi - lo)
         z = np.zeros(self.layout.dim)
@@ -664,89 +619,17 @@ class EEProblem:
         if self.layout.with_users:
             z[self.layout.user_idx.ravel()] = x_all
         z[self.layout.relay_idx.ravel()] = x_all
-        if self.depleted:
-            self._seed_depleted_transfers(z)
-        else:
-            z[self.layout.pair_mat] = min(1e-6, 0.25 * self.e_cap)
+        z[self.layout.pair_mat] = min(1e-6, 0.25 * self.e_cap)
         return z
 
-    def _seed_depleted_transfers(self, z):
-        """Start the depleted variant with every per-period budget above
-        the power floor.
-
-        The eliminated user power is budget/T, which the outage posynomial
-        evaluates at the initial point, so nonpositive budgets are not
-        merely soft violations: they put the start outside the barrier
-        domain.  Periods whose arrivals cannot reach the floor even under
-        loss-aware equalization are provably infeasible (within-period
-        transfers cannot create energy) and raise InfeasibleError.
-        """
-        cfg = self.config
-        M, K = cfg.M, cfg.K
-        eta = cfg.eta
-        floor = P_MIN * cfg.T
-        arrivals0 = cfg.arrivals.copy()
-        arrivals0[:, 0] += cfg.Eu_0
-        for k in range(K):
-            arr = arrivals0[:, k].copy()
-            if M == 1 or not self.layout.with_transfers:
-                if float(arr.min()) <= floor * 1.01:
-                    raise InfeasibleError(
-                        "power_budget",
-                        f"period {k + 1}: a user's harvest cannot sustain "
-                        f"the minimum power")
-                continue
-            # highest budget floor reachable by equalizing transfers,
-            # accounting for the transfer loss, found by bisection
-            lo_t, hi_t = 0.0, float(arr.max())
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                surplus = eta * float(np.clip(arr - mid, 0.0, None).sum())
-                deficit = float(np.clip(mid - arr, 0.0, None).sum())
-                if surplus >= deficit:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            t_even = lo_t
-            if t_even <= floor * 1.01:
-                raise InfeasibleError(
-                    "power_budget",
-                    f"period {k + 1}: equalizing transfers cannot lift "
-                    f"every user to the minimum power")
-            pulls = np.zeros((M, M))
-            target = max(2.0 * floor, 0.5 * t_even)
-            if float(arr.min()) < target:
-                give_room = np.clip(arr - target, 0.0, None)
-                order = np.argsort(-give_room)
-                for i in range(M):
-                    need = target - arr[i]
-                    for j in order:
-                        if need <= 0.0:
-                            break
-                        if j == i or give_room[j] <= 0.0:
-                            continue
-                        pull = min(give_room[j], need / eta)
-                        pulls[j, i] += pull
-                        give_room[j] -= pull
-                        need -= eta * pull
-            budget = arr + eta * pulls.sum(axis=0) - pulls.sum(axis=1)
-            # small uniform seed on every pair, sized so it cannot push
-            # the tightest budget anywhere near the floor
-            e0 = min(1e-6, 0.25 * self.e_cap,
-                     0.05 * float(budget.min()) / max(M - 1, 1))
-            i, j = self.layout.pairs.T
-            z[self.layout.pair_mat[:, k]] = e0 + pulls[i, j]
-
     def extract_policy(self, z) -> Policy:
-        cfg = self.config
         lay = self.layout
-        E = lay.transfer_array(z)
-        p_r = np.exp(z[lay.relay_idx])
         if self.depleted:
-            p_u = self.budgets(z)
+            p_u = self.harvest / self.config.T
         else:
             p_u = np.exp(z[lay.user_idx])
-        return Policy(p_u=p_u, p_r=p_r, transfers=E)
+        return Policy(p_u=p_u, p_r=np.exp(z[lay.relay_idx]),
+                      transfers=lay.transfer_array(z))
 
 
 # ---------------------------------------------------------------------------
@@ -1058,8 +941,10 @@ def dinkelbach_optimize(config: ScenarioConfig,
     """Maximize energy efficiency and audit the result with exact outage.
 
     The keyword switches select restricted variants used by the baseline
-    policies: transfers=False removes inter-user energy transfer variables,
-    depleted=True pins per-period consumption to per-period harvest.
+    policies: transfers=False removes inter-user energy transfer variables;
+    depleted=True pins each user's per-period consumption to its
+    per-period harvest and builds no transfer variables, whatever
+    transfers says.
     tables_weights allows a different outage model (used by the orthogonal
     relaying baseline).  audit overrides the exact feasibility check; the
     default audits the network-coded outage.
@@ -1112,11 +997,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
         # solver optimum, read off before cosmetic cleanup (which cannot be
         # represented in log coordinates once a relay snaps to zero).
         q_star = bits / energy
-        policy = problem.extract_policy(z)
-        if not depleted:
-            # transfer netting changes per-period budgets, which would break
-            # the depleted identity consumption == budget, so skip it there
-            policy = _cleanup_transfers(config, policy)
+        policy = _cleanup_transfers(config, problem.extract_policy(z))
         if coded:
             # the snap test is phrased in terms of the network-coded outage,
             # so leave relays alone when a custom outage model is in use

@@ -13,7 +13,6 @@ from eecoop.baselines import (
     GridSpec,
     as_evaluation,
     brute_force_optimize,
-    build_per_user_tables,
     depleted_energy_policy,
     grid_dimension_guard,
     no_transfer_policy,
@@ -31,7 +30,7 @@ from eecoop.model import (
     total_energy,
     validate_policy,
 )
-from eecoop.outage import network_outage_report
+from eecoop.outage import build_per_user_tables, network_outage_report
 from eecoop.solver import dinkelbach_optimize
 
 
@@ -80,7 +79,7 @@ class TestPerUserTables:
     def test_single_link_pair(self):
         cfg = solver_toy(M=1, N=1, K=1)
         coeffs = compute_link_coefficients(cfg)
-        (table,) = build_per_user_tables(coeffs, 1, 1)
+        (table,) = build_per_user_tables(coeffs, relay_assignment(1, 1))
         # c_u * p**-m + c_r * q**-m: two monomials
         assert table.n_terms == 2
         x = np.log([2.0, 3.0])
@@ -96,7 +95,7 @@ class TestPerUserTables:
         cfg = replace(cfg, d_h=cfg.d_h * np.linspace(0.8, 1.3, 8).reshape(2, 4),
                       d_g=cfg.d_g * np.array([0.9, 1.0, 1.1, 1.2]))
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, 2, 4)
+        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
         assert len(tables) == 2
         assert tables[0].n_terms == 4
         rng = np.random.default_rng(0)
@@ -109,7 +108,7 @@ class TestPerUserTables:
     def test_tables_only_touch_own_dimensions(self):
         cfg = solver_toy(M=2, N=4, K=1)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, 2, 4)
+        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
         # user 1's table must have zero exponent on user 0's power and on
         # relays 0, 2 (assigned to user 0)
         w = tables[1].w
@@ -149,7 +148,7 @@ class TestPerUserOutageExact:
     def test_approx_upper_bounds_exact(self):
         cfg = solver_toy(M=2, N=4, K=2, seed=9)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, 2, 4)
+        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
         rng = np.random.default_rng(1)
         policy = Policy(p_u=rng.uniform(2.0, 15.0, (2, 2)),
                         p_r=rng.uniform(2.0, 15.0, (4, 2)),
@@ -163,7 +162,7 @@ class TestPerUserOutageExact:
     def test_approx_tight_at_high_power(self):
         cfg = solver_toy(M=2, N=4, K=1, d=3.0)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, 2, 4)
+        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
         policy = Policy(p_u=np.full((2, 1), 15.0), p_r=np.full((4, 1), 15.0),
                         transfers=np.zeros((1, 2, 2)))
         exact = per_user_outage_exact(cfg, policy)
@@ -245,19 +244,18 @@ class TestNoTransfer:
 
 class TestDepleted:
     def test_consumption_equals_budget(self):
-        cfg = solver_toy(arrival_lo=1.0, arrival_hi=6.0)
-        res = depleted_energy_policy(cfg, allow_transfers=True)
+        """The budget is the period's harvest, the initial battery
+        counted in period 1."""
+        cfg = solver_toy(arrival_lo=1.0, arrival_hi=6.0, Eu_0=[2.0, 0.5])
+        res = depleted_energy_policy(cfg)
         assert res.feasible
-        pol = res.policy
-        recv = cfg.eta * pol.transfers.sum(axis=1).T   # (M, K)
-        sent = pol.transfers.sum(axis=2).T
-        budget = cfg.arrivals + recv - sent
+        budget = cfg.arrivals.copy()
         budget[:, 0] += cfg.Eu_0
-        assert np.allclose(pol.p_u * cfg.T, budget, rtol=1e-8, atol=1e-10)
+        assert np.allclose(res.policy.p_u * cfg.T, budget, rtol=1e-12)
 
     def test_no_transfer_variant(self):
         cfg = solver_toy(arrival_lo=1.0, arrival_hi=6.0)
-        res = depleted_energy_policy(cfg, allow_transfers=False)
+        res = depleted_energy_policy(cfg)
         assert res.feasible
         assert np.all(res.policy.transfers == 0.0)
         assert np.allclose(res.policy.p_u * cfg.T, cfg.arrivals, rtol=1e-8)
@@ -288,19 +286,21 @@ class TestDepleted:
         arr = cfg.arrivals.copy()
         arr[0, 1] = 0.0
         cfg = replace(cfg, arrivals=arr)
-        res = depleted_energy_policy(cfg, allow_transfers=False)
+        res = depleted_energy_policy(cfg)
         assert res.status == "infeasible"
         assert res.binding_class == "power_budget"
         assert res.policy is None
 
-    def test_transfers_rescue_zero_arrival_period(self):
+    def test_harvest_above_power_ceiling_infeasible(self):
+        """A period's harvest above p_max * T cannot be spent within the
+        period at any allowed power."""
         cfg = solver_toy(arrival_lo=2.0, arrival_hi=6.0)
         arr = cfg.arrivals.copy()
-        arr[0, 1] = 0.0
-        cfg = replace(cfg, arrivals=arr)
-        res = depleted_energy_policy(cfg, allow_transfers=True)
-        assert res.feasible
-        assert res.policy.transfers[1, 1, 0] > 0.0
+        arr[1, 0] = 1.5 * cfg.p_max * cfg.T
+        res = depleted_energy_policy(replace(cfg, arrivals=arr))
+        assert res.status == "infeasible"
+        assert res.binding_class == "power_budget"
+        assert res.policy is None
 
 
 class TestUniform:
@@ -535,17 +535,9 @@ class TestDominanceOrdering:
             cfg = solver_toy(seed=seed, arrival_lo=0.5, arrival_hi=6.0)
             full = dinkelbach_optimize(cfg)
             nt = no_transfer_policy(cfg)
-            dep = depleted_energy_policy(cfg, allow_transfers=False)
+            dep = depleted_energy_policy(cfg)
             assert full.feasible
             if nt.feasible:
                 assert full.ee_exact >= nt.ee_exact * (1 - 1e-4)
             if nt.feasible and dep.feasible:
                 assert nt.ee_exact >= dep.ee_exact * (1 - 1e-4)
-
-    def test_depleted_with_transfers_between(self):
-        cfg = solver_toy(arrival_lo=1.0, arrival_hi=6.0)
-        full = dinkelbach_optimize(cfg)
-        dep_t = depleted_energy_policy(cfg, allow_transfers=True)
-        dep = depleted_energy_policy(cfg, allow_transfers=False)
-        assert full.ee_exact >= dep_t.ee_exact * (1 - 1e-4)
-        assert dep_t.ee_exact >= dep.ee_exact * (1 - 1e-4)

@@ -425,6 +425,18 @@ class TestCompare:
             assert uni["reason"]
             assert uni["ee"] == ""
 
+    def test_fewer_relays_than_users(self, tmp_path):
+        """M=2 users and N=1 relay: no method delivers both messages, and
+        nonc_df leaves a user without a relay, so every row is infeasible
+        by outage and the command succeeds."""
+        path = tmp_path / "m2n1.json"
+        save_scenario(solver_toy(M=2, N=1), path)
+        code, out = run_cli(["compare", "--scenario", path])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["method"], r["feasible"], r["reason"]) for r in rows] \
+            == [(m, "false", "outage") for m in cli.COMPARE_METHODS]
+
     def test_golden_csv_schema(self, toy_path, tmp_path):
         """Schema golden file: structure byte-stable, numbers to 1e-6."""
         import pathlib

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eecoop import outage
-from eecoop.baselines import build_per_user_tables, relay_assignment
+from eecoop.baselines import relay_assignment
 from eecoop.model import (
     LinkCoefficients,
     Policy,
@@ -393,7 +393,7 @@ class TestRecursionTables:
             assert np.any(np.all(tA.w == 0.0, axis=1))
         else:
             self.assert_tables_match(
-                build_per_user_tables(coeffs, M, N),
+                outage.build_per_user_tables(coeffs, relay_assignment(M, N)),
                 expanded_per_user_tables(coeffs, relay_assignment(M, N),
                                          M, N))
 
@@ -518,7 +518,8 @@ class TestRecursionEvaluator:
         assert large["B"].recursion.events == ("B",)
         assert large["A+B"].recursion.events == ("A", "B")
         assert all(t.recursion is None
-                   for t in build_per_user_tables(wide, 3, 8))
+                   for t in outage.build_per_user_tables(
+                       wide, relay_assignment(3, 8)))
 
     def test_solver_table_expands_no_unused_part(self, monkeypatch):
         """outage_tables gives the solver one table of parts A and B: at

@@ -10,10 +10,10 @@ import pytest
 from eecoop import outage
 from eecoop import solver as solver_mod
 from eecoop.baselines import (
-    build_per_user_tables,
     depleted_energy_policy,
     no_transfer_policy,
     nonc_df_policy,
+    relay_assignment,
 )
 from eecoop.model import (
     OUTAGE_AUDIT_RTOL,
@@ -25,7 +25,11 @@ from eecoop.model import (
     validate_policy,
     zero_policy,
 )
-from eecoop.outage import network_outage_exact, network_outage_report
+from eecoop.outage import (
+    build_per_user_tables,
+    network_outage_exact,
+    network_outage_report,
+)
 from eecoop.solver import (
     EEProblem,
     InfeasibleError,
@@ -334,20 +338,32 @@ class TestDinkelbach:
 
     def test_depleted_variant_identity(self):
         """With depleted energy use, consumption equals the per-period
-        budget: p[i,k]*T = arrivals + eta*received - sent."""
-        cfg = solver_toy()
+        harvest, p[i,k]*T = arrivals (plus Eu_0 in period 1), and nothing
+        moves between users, though transfers=True is the default."""
+        cfg = solver_toy(Eu_0=[0.5, 1.5])
         res = dinkelbach_optimize(cfg, depleted=True)
         assert res.status == "converged"
         assert res.feasible, res.feasibility.summary()
-        E = res.policy.transfers
-        recv = E.sum(axis=1).T
-        sent = E.sum(axis=2).T
-        budget = cfg.arrivals + cfg.eta * recv - sent
-        budget[:, 0] += cfg.Eu_0
-        np.testing.assert_allclose(res.policy.p_u * cfg.T, budget,
-                                   rtol=1e-8, atol=1e-10)
+        assert np.all(res.policy.transfers == 0.0)
+        harvest = cfg.arrivals.copy()
+        harvest[:, 0] += cfg.Eu_0
+        np.testing.assert_allclose(res.policy.p_u * cfg.T, harvest,
+                                   rtol=1e-12)
         full = dinkelbach_optimize(cfg)
         assert full.ee_exact >= res.ee_exact * (1.0 - 1e-3)
+
+    def test_depleted_problem_has_no_transfer_columns(self):
+        """depleted=True builds no transfer variables, whatever transfers
+        says: the relay log powers are its only columns."""
+        cfg = solver_toy()
+        prob = EEProblem(cfg, compute_link_coefficients(cfg),
+                         threshold=cfg.pr_out_0, depleted=True,
+                         transfers=True)
+        lay = prob.layout
+        assert lay.user_idx is None
+        assert lay.pair_mat.size == 0
+        assert lay.dim == cfg.N * cfg.K
+        np.testing.assert_array_equal(prob.period_idx, lay.relay_idx.T)
 
     def test_infeasible_result_fields(self):
         cfg = solver_toy(pr_out_0=1e-12)
@@ -504,6 +520,7 @@ class TestBarrierAssembly:
         "standard": {},
         "no_transfer": {"transfers": False},
         "depleted": {"depleted": True, "transfers": False},
+        # depleted=True ignores transfers: the same problem as "depleted"
         "depleted_transfers": {"depleted": True, "transfers": True},
         "nonc_df": "per_user_tables",
     }
@@ -517,7 +534,7 @@ class TestBarrierAssembly:
         kw = self.VARIANTS[variant]
         if kw == "per_user_tables":
             kw = {"tables_weights": (build_per_user_tables(
-                coeffs, cfg.M, cfg.N), [1.0] * cfg.M)}
+                coeffs, relay_assignment(cfg.M, cfg.N)), [1.0] * cfg.M)}
         return EEProblem(cfg, coeffs, threshold=cfg.pr_out_0, **kw)
 
     @staticmethod
@@ -605,8 +622,8 @@ class TestBarrierAssembly:
 
     def outside_points(self, prob, z0):
         """{name: point} just outside one part of the domain each: the
-        power box, a causality row, an outage row, or a depleted budget
-        at or below zero (where tables_at returns None)."""
+        power box, a causality row (none in the depleted variant) or an
+        outage row."""
         lay = prob.layout
         z = z0.copy()
         z[lay.relay_idx[0, 0]] = np.nextafter(math.log(prob.config.p_max),
@@ -622,11 +639,6 @@ class TestBarrierAssembly:
             d[lay.user_idx[0, 0]] = 1.0
             points["causality"] = self.crossing(
                 lambda zz: prob.energy_rows.values(zz).max(), z0, d)
-        elif lay.with_transfers:
-            d = np.zeros(z0.size)
-            d[lay.pair_mat[0, 0]] = 1.0      # user 0 sends in period 1
-            points["budget"] = self.crossing(
-                lambda zz: -prob.budgets(zz)[0, 0], z0, d)
         return points
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -641,22 +653,15 @@ class TestBarrierAssembly:
                 z0, prob.tables_at(z0))
             q, sig = bits / energy, prob.soft_sigma
             points = self.outside_points(prob, z0)
-            assert len(points) == 2 + (variant != "depleted")
+            assert len(points) == 2 + (not prob.depleted)
             for name, z in points.items():
                 crossed = {cls for cls, g in prob.constraint_values(z)
                            if np.any(g >= 0.0)}
                 if np.any(prob.bounds.values(z) >= 0.0):
                     crossed.add("bounds")
-                if name == "budget":
-                    assert prob.tables_at(z) is None
-                    slack = 1.0 + max(
-                        float(np.max(g / sig[cls]))
-                        for cls, g in prob.constraint_values(z)
-                        if cls != "outage")
-                else:
-                    assert crossed == {name}
-                    slack = 0.0 if name != "bounds" else 1.0 + float(
-                        prob.soft_values_scaled(z).max())
+                assert crossed == {name}
+                slack = 0.0 if name != "bounds" else 1.0 + float(
+                    prob.soft_values_scaled(z).max())
                 zs = np.append(z, slack)
                 for t in (1.0, 1e9):
                     assert prob.barrier_value(z, q, t) \
@@ -735,8 +740,8 @@ class TestReferencePin:
     PINS = {
         "optimized": (dinkelbach_optimize, 64, 2, 119375.69334521322,
                       119379.7947315367, 1e-4),
-        "depleted_energy": (depleted_energy_policy, 53, 2,
-                            52519.46459433566, 52521.991225145975, 1e-4),
+        "depleted_energy": (depleted_energy_policy, 48, 2,
+                            52519.45986947246, 52521.98649519647, 1e-4),
         "nonc_df": (nonc_df_policy, 64, 2, 29138.931256132604,
                     29139.0477202311, 1e-4),
         "no_transfer": (no_transfer_policy, 55, 2, 119375.69573272503,
