@@ -33,8 +33,6 @@ from .solver import (
     dinkelbach_optimize,
     evaluate_V_prime,
     inner_solve,
-    transform_policy,
-    inverse_transform_policy,
 )
 from .baselines import (
     BASELINE_KINDS,

@@ -392,6 +392,9 @@ def cmd_simulate(args) -> int:
             return _error_record("infeasible", EXIT_INFEASIBLE,
                                  "no feasible policy exists to simulate",
                                  binding_class=res.binding_class)
+        if not res.feasible:
+            return _error_record("solver_failure", EXIT_SOLVER,
+                                 f"solver ended with status {res.status}")
         policy, source = res.policy, "optimized"
     mc = estimate_outage(config, policy, trials=args.trials,
                          rng=RngSpec(args.seed))

@@ -27,9 +27,10 @@ per-period values, gradients and (K, M+N, M+N) Hessians that the objective
 and the outage constraints share; each table's Hessians enter the Newton
 matrix in one block add over the periods' variable indices.  Causality
 rows are two dense matrices, one of exponential and one of linear
-coefficients, so their Hessian is one Jacobian product plus a diagonal.  Each barrier form is one pass whose
-derivatives are optional, so barrier_value is barrier_fgh's value by
-construction, bit for bit, as the stage stop rule requires.
+coefficients, so their Hessian is one Jacobian product plus a diagonal.
+Each barrier form is one pass whose derivatives are optional, so
+barrier_value is barrier_fgh's value by construction, bit for bit, as the
+stage stop rule requires.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .model import (
     Policy,
     ScenarioConfig,
     compute_link_coefficients,
+    energy_efficiency,
     energy_ledger,
     total_energy,
     validate_policy,
@@ -64,7 +66,6 @@ BARRIER_MU = 10.0       # barrier parameter growth factor
 NEWTON_TOL = 1e-9       # half squared Newton decrement per stage
 MAX_NEWTON = 80         # Newton iterations per barrier stage
 T0 = 1.0                # initial barrier parameter
-MAX_RETRIES = 3         # internal threshold shrinks after an audit failure
 PHASE1_MARGIN = 1e-3    # scaled strict-feasibility margin
 
 
@@ -135,26 +136,6 @@ class Layout:
     def pack_transfers(self, E, z) -> None:
         i, j = self.pairs.T
         z[self.pair_mat] = E[:, i, j].T
-
-
-def transform_policy(policy: Policy):
-    """Log-power coordinates of a policy: (x_tilde, transfers).
-
-    x_tilde stacks user rows then relay rows, shape (M+N, K).  Requires all
-    powers >= P_MIN; a switched-off relay cannot be represented in log
-    coordinates.
-    """
-    if np.any(policy.p_u < P_MIN) or np.any(policy.p_r < P_MIN):
-        raise ValueError(f"all powers must be >= {P_MIN} to take logs")
-    x = np.log(np.vstack([policy.p_u, policy.p_r]))
-    return x, policy.transfers.copy()
-
-
-def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
-    """Inverse of transform_policy."""
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    p = np.exp(x_tilde)
-    return Policy(p_u=p[:M], p_r=p[M:], transfers=np.array(transfers))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +361,11 @@ class EEProblem:
     """
 
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
-                 *, threshold: float,
-                 transfers: bool = True, depleted: bool = False,
+                 *, transfers: bool = True, depleted: bool = False,
                  tables_weights=None):
         M, N, K = config.M, config.N, config.K
         self.config = config
         self.coeffs = coeffs
-        self.threshold = float(threshold)
         self.depleted = depleted
         transfers = transfers and M > 1 and not depleted
         self.layout = Layout(M=M, N=N, K=K, with_users=not depleted,
@@ -417,8 +396,8 @@ class EEProblem:
             np.concatenate([np.tile([hi, -lo], lay.dim - n_transfer),
                             np.tile([self.e_cap, 0.0], n_transfer)]))
 
-        # Outage constraints: every table of every period under threshold.
-        self.outage_cons = OutageCons(K * len(self.tables), self.threshold)
+        # Outage constraints: every table of every period under pr_out_0.
+        self.outage_cons = OutageCons(K * len(self.tables), config.pr_out_0)
         self.n_con = self.bounds.n + self.outage_cons.n
         self.energy_rows = None
         if not depleted:
@@ -457,7 +436,7 @@ class EEProblem:
         # phase-1 scaling per soft class
         self.soft_sigma = {
             "causality": max(1.0, total_energy_cap),
-            "outage": self.threshold,
+            "outage": config.pr_out_0,
         }
 
     # -- evaluation helpers -------------------------------------------------
@@ -554,10 +533,6 @@ class EEProblem:
             return False
         return not any(np.any(g >= 0.0) for _, g in self.constraint_values(z))
 
-    def soft_values_scaled(self, z):
-        return np.concatenate([g / self.soft_sigma[cls]
-                               for cls, g in self.constraint_values(z)])
-
     def _uniform_outage_level(self):
         """Log power level at which every outage posynomial sits at half
         the threshold when all nodes transmit at that common level.
@@ -568,7 +543,7 @@ class EEProblem:
         uniform point available and certifies infeasibility properly.
         """
         cfg = self.config
-        target = 0.5 * self.threshold
+        target = 0.5 * cfg.pr_out_0
         n_vars = cfg.M + cfg.N
 
         def worst(xval):
@@ -825,8 +800,7 @@ def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
         raise ValueError("x_tilde must have shape (M+N, K)")
     if transfers.shape != (K, config_M, config_M):
         raise ValueError("transfers must have shape (K, M, M)")
-    problem = EEProblem(config, coeffs, threshold=config.pr_out_0,
-                        transfers=True)
+    problem = EEProblem(config, coeffs)
     lay = problem.layout
     z = np.zeros(lay.dim)
     z[lay.user_idx] = x_tilde[:config.M]
@@ -863,9 +837,13 @@ class SolveResult:
     """Outcome of an energy-efficiency optimization run.
 
     status is one of converged, max_iterations, infeasible, audit_failed.
-    q_star is the achieved bits-per-joule ratio of the approximate model;
-    ee_exact re-evaluates the returned policy with exact outage.  trace
-    holds one (q, V, newton_iterations) triple per outer iteration.
+    audit_failed carries the policy that failed its one exact audit: the
+    monomial tables bound exact outage from above, so a failure signals a
+    defect, and there is no threshold retry.  q_star is the achieved
+    bits-per-joule ratio of the approximate model; ee_exact re-evaluates
+    the returned policy with exact outage.  trace holds one (q, V,
+    newton_iterations) triple per outer iteration.  threshold_internal is
+    the per-period outage bound the tables were solved for, pr_out_0.
     """
 
     status: str
@@ -929,7 +907,6 @@ def _snap_relays(config: ScenarioConfig, policy: Policy) -> Policy:
 def _nc_audit(config: ScenarioConfig, policy: Policy):
     feas = validate_policy(config, policy)
     report = network_outage_report(config, policy, mode="exact")
-    from .model import energy_efficiency
     ee = energy_efficiency(config, policy, report.pr_out)
     return feas, report, ee
 
@@ -939,6 +916,12 @@ def dinkelbach_optimize(config: ScenarioConfig,
                         transfers: bool = True, depleted: bool = False,
                         tables_weights=None, audit=None) -> SolveResult:
     """Maximize energy efficiency and audit the result with exact outage.
+
+    One pass: build the problem, find a strictly feasible point (phase 1),
+    run the Dinkelbach iteration, clean the policy up and audit it once.
+    The solve holds every table under pr_out_0, and each table bounds its
+    exact outage from above, so a policy that fails the audit is returned
+    as audit_failed, a defect to report rather than retry.
 
     The keyword switches select restricted variants used by the baseline
     policies: transfers=False removes inter-user energy transfer variables;
@@ -955,70 +938,49 @@ def dinkelbach_optimize(config: ScenarioConfig,
     audit = audit or _nc_audit
 
     coded = tables_weights is None
-    if coded:
-        # built once: every retry below solves the same tables
-        tables_weights = _coded_tables(coeffs, config.M, config.N)
-
-    threshold = config.pr_out_0
-    last_result = None
-    for _attempt in range(1 + MAX_RETRIES):
-        problem = EEProblem(config, coeffs, threshold=threshold,
-                            transfers=transfers, depleted=depleted,
-                            tables_weights=tables_weights)
-        try:
-            z = phase1(problem)
-        except InfeasibleError as err:
-            return SolveResult(status="infeasible",
-                               binding_class=err.binding_class,
-                               threshold_internal=threshold)
+    problem = EEProblem(config, coeffs, transfers=transfers,
+                        depleted=depleted, tables_weights=tables_weights)
+    try:
+        z = phase1(problem)
+    except InfeasibleError as err:
+        return SolveResult(status="infeasible",
+                           binding_class=err.binding_class,
+                           threshold_internal=config.pr_out_0)
+    energy, bits = problem.objective.energy_and_bits(z, problem.tables_at(z))
+    q = max(bits, 0.0) / energy
+    trace = []
+    status = "max_iterations"
+    total_iters = 0
+    # the phase-1 point is far from the central path, so the first solve
+    # starts at T0; each later one starts at the last optimum
+    t = T0
+    for _outer in range(MAX_OUTER):
+        res = inner_solve(problem, q, z, t)
+        z, t = res.z, res.t_final
         energy, bits = problem.objective.energy_and_bits(
             z, problem.tables_at(z))
-        q = max(bits, 0.0) / energy
-        trace = []
-        status = "max_iterations"
-        total_iters = 0
-        # the phase-1 point is far from the central path, so the first
-        # solve starts at T0; each later one starts at the last optimum
-        t = T0
-        for _outer in range(MAX_OUTER):
-            res = inner_solve(problem, q, z, t)
-            z, t = res.z, res.t_final
-            energy, bits = problem.objective.energy_and_bits(
-                z, problem.tables_at(z))
-            V = bits - q * energy
-            trace.append((q, V, res.newton_iters))
-            total_iters += res.newton_iters
-            if abs(V) <= q_tol:
-                status = "converged"
-                break
-            q = bits / energy
+        V = bits - q * energy
+        trace.append((q, V, res.newton_iters))
+        total_iters += res.newton_iters
+        if abs(V) <= q_tol:
+            status = "converged"
+            break
+        q = bits / energy
 
-        # q_star is the achieved ratio of the approximate model at the
-        # solver optimum, read off before cosmetic cleanup (which cannot be
-        # represented in log coordinates once a relay snaps to zero).
-        q_star = bits / energy
-        policy = _cleanup_transfers(config, problem.extract_policy(z))
-        if coded:
-            # the snap test is phrased in terms of the network-coded outage,
-            # so leave relays alone when a custom outage model is in use
-            policy = _snap_relays(config, policy)
-        feas, outage_report, ee_exact = audit(config, policy)
-        result = SolveResult(status=status, policy=policy, q_star=q_star,
-                             trace=trace, feasibility=feas,
-                             ee_exact=ee_exact,
-                             e_tot=total_energy(config, policy),
-                             outage_exact=outage_report,
-                             threshold_internal=threshold,
-                             newton_iters_total=total_iters)
-        if feas.feasible:
-            return result
-        only_outage = all(v == 0.0 for cls, v in feas.worst.items()
-                          if cls != "outage")
-        last_result = result
-        if not only_outage:
-            result.status = "audit_failed"
-            return result
-        threshold *= 0.9
-
-    last_result.status = "audit_failed"
-    return last_result
+    # q_star is the achieved ratio of the approximate model at the solver
+    # optimum, read off before cosmetic cleanup (which cannot be
+    # represented in log coordinates once a relay snaps to zero).
+    q_star = bits / energy
+    policy = _cleanup_transfers(config, problem.extract_policy(z))
+    if coded:
+        # the snap test is phrased in terms of the network-coded outage, so
+        # leave relays alone when a custom outage model is in use
+        policy = _snap_relays(config, policy)
+    feas, outage_report, ee_exact = audit(config, policy)
+    return SolveResult(status=status if feas.feasible else "audit_failed",
+                       policy=policy, q_star=q_star, trace=trace,
+                       feasibility=feas, ee_exact=ee_exact,
+                       e_tot=total_energy(config, policy),
+                       outage_exact=outage_report,
+                       threshold_internal=config.pr_out_0,
+                       newton_iters_total=total_iters)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from eecoop.model import ScenarioConfig
+from eecoop.model import P_MIN, Policy, ScenarioConfig
 from eecoop.outage import MonomialTable
 
 
@@ -56,6 +56,37 @@ def tiled_config(ref: ScenarioConfig, M: int, N: int, K: int):
     return dataclasses.replace(
         ref, M=M, N=N, K=K, arrivals=ref.arrivals[users, :K],
         Eu_0=ref.Eu_0[users], **first_hop, **second_hop)
+
+
+# ---------------------------------------------------------------------------
+# solver coordinates
+
+
+def transform_policy(policy: Policy):
+    """Log-power coordinates of a policy: (x_tilde, transfers).
+
+    x_tilde stacks user rows then relay rows, shape (M+N, K).  Requires all
+    powers >= P_MIN; a switched-off relay cannot be represented in log
+    coordinates.
+    """
+    if np.any(policy.p_u < P_MIN) or np.any(policy.p_r < P_MIN):
+        raise ValueError(f"all powers must be >= {P_MIN} to take logs")
+    x = np.log(np.vstack([policy.p_u, policy.p_r]))
+    return x, policy.transfers.copy()
+
+
+def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
+    """Inverse of transform_policy."""
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    p = np.exp(x_tilde)
+    return Policy(p_u=p[:M], p_r=p[M:], transfers=np.array(transfers))
+
+
+def soft_values_scaled(problem, z):
+    """Every soft constraint row of an EEProblem at z, divided by its
+    class's phase-1 scale; all negative means strictly inside."""
+    return np.concatenate([g / problem.soft_sigma[cls]
+                           for cls, g in problem.constraint_values(z)])
 
 
 # ---------------------------------------------------------------------------

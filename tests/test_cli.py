@@ -513,3 +513,31 @@ class TestSolverFailure:
         assert code == 4
         assert self.error(out) == {"code": 4, "kind": "solver_failure",
                                    "message": "solver blew up"}
+
+
+class TestAuditFailure:
+    """A solve that returns a policy which failed its exact audit: neither
+    single-solve command passes it on as a result."""
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    def test_single_solve_commands(self, toy_path, monkeypatch, command):
+        solve = cli.dinkelbach_optimize
+
+        def audit_failed(config, *args, **kwargs):
+            res = solve(config, *args, **kwargs)
+            res.status = "audit_failed"
+            return res
+
+        monkeypatch.setattr(cli, "dinkelbach_optimize", audit_failed)
+        code, out = run_cli([command, "--scenario", toy_path])
+        assert code == 4
+        # optimize writes the failed solve's record before the error
+        records, rest = [], out.strip()
+        while rest:
+            rec, end = json.JSONDecoder().raw_decode(rest)
+            records.append(rec)
+            rest = rest[end:].lstrip()
+        assert len(records) == (2 if command == "optimize" else 1)
+        assert records[-1]["error"] == {
+            "code": 4, "kind": "solver_failure",
+            "message": "solver ended with status audit_failed"}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eecoop import outage
-from eecoop.baselines import relay_assignment
+from eecoop.baselines import per_user_outage_exact, relay_assignment
 from eecoop.model import (
     LinkCoefficients,
     Policy,
@@ -21,6 +21,7 @@ from eecoop.outage import (
     MonomialTable,
     _term_count,
     build_outage_tables,
+    build_per_user_tables,
     network_outage_approx,
     network_outage_exact,
     network_outage_report,
@@ -632,6 +633,50 @@ class TestNetworkOutageApprox:
             b = network_outage_report(cfg_swapped, pol_swapped,
                                       mode=mode).pr_out
             np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+class TestTablesBoundExact:
+    """Each monomial table bounds its exact outage from above at any power.
+
+    Per link, P(m, b) <= b**m / Gamma(m + 1); a relay's miss probability is
+    at most the sum of its user-link outages, its success weights at most
+    one, and the relay recursion only adds and multiplies.  So the solver's
+    A+B table, under either evaluator, and the per-user tables of plain
+    relaying are never below exact outage, including where the per-link
+    outage nears one.  Part A alone is not checked: its exact value takes
+    1 - prod(1 - pe) and loses its relative accuracy below pe ~ 1e-13.
+    """
+
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.5, 2.5, 4.0])
+    def test_random_periods(self, monkeypatch, m):
+        """300 draws of 3 reference periods: log powers uniform in [-6, 3],
+        period 0 in [-25, -15], where every link is almost surely in
+        outage."""
+        ref = load_scenario(REFERENCE).replace(m=m)
+        cfg = tiled_config(ref, ref.M, ref.N, 3)
+        coeffs = compute_link_coefficients(cfg)
+        M, N, K = cfg.M, cfg.N, cfg.K
+        coded = []
+        for threshold in (-1, math.inf):   # recursion, then terms
+            monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", threshold)
+            coded.append(build_outage_tables(coeffs, M, N, parts=("AB",))[0])
+        assert coded[0].recursion is not None and coded[1].recursion is None
+        per_user = build_per_user_tables(coeffs, relay_assignment(M, N))
+        rng = np.random.default_rng([16, int(100 * m)])
+        for _ in range(300):
+            x = rng.uniform(-6.0, 3.0, size=(M + N, K))
+            x[:, 0] = rng.uniform(-25.0, -15.0, size=M + N)
+            p = np.exp(x)
+            policy = Policy(p_u=p[:M], p_r=p[M:],
+                            transfers=np.zeros((K, M, M)))
+            report = network_outage_report(cfg, policy, mode="exact")
+            assert report.pe_user[:, :, 0].min() > 0.99
+            for table in coded:
+                assert np.all(report.pr_out
+                              <= table.value(x) * (1.0 + 1e-12))
+            exact = per_user_outage_exact(cfg, policy)
+            for i, table in enumerate(per_user):
+                assert np.all(exact[i] <= table.value(x) * (1.0 + 1e-12))
 
 
 class TestOutageReport:

@@ -37,11 +37,16 @@ from eecoop.solver import (
     dinkelbach_optimize,
     evaluate_V_prime,
     inner_solve,
-    inverse_transform_policy,
     phase1,
+)
+from helpers import (
+    inverse_transform_policy,
+    make_config,
+    soft_values_scaled,
+    solver_toy,
+    tiled_config,
     transform_policy,
 )
-from helpers import make_config, solver_toy, tiled_config
 
 
 def grid_oracle_single_link(cfg, n=240, rounds=3):
@@ -177,15 +182,15 @@ class TestPhase1:
     def test_returns_strictly_feasible_point(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         z = phase1(prob)
         assert prob.strictly_feasible(z)
-        assert float(prob.soft_values_scaled(z).max()) < 0.0
+        assert float(soft_values_scaled(prob, z).max()) < 0.0
 
     def test_impossible_outage_target(self):
         cfg = solver_toy(pr_out_0=1e-12)
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         with pytest.raises(InfeasibleError) as err:
             phase1(prob)
         assert err.value.binding_class == "outage"
@@ -201,7 +206,7 @@ class TestPhase1:
                           d_g=np.full(2, 10.0),
                           arrivals=np.full((2, 2), 0.4))
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         with pytest.raises(InfeasibleError) as err:
             phase1(prob)
         assert err.value.binding_class in ("causality", "outage")
@@ -211,7 +216,7 @@ class TestInnerSolve:
     def test_requires_strict_feasibility(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         z_bad = prob.initial_point()
         lay = prob.layout
         z_bad[lay.user_idx[0, 0]] = math.log(cfg.p_max) + 1.0
@@ -221,7 +226,7 @@ class TestInnerSolve:
     def test_convex_inner_optimum_is_start_independent(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         z0 = phase1(prob)
         q = 3e4
         res_a = inner_solve(prob, q, z0)
@@ -234,7 +239,7 @@ class TestInnerSolve:
     def test_solution_is_feasible_and_interior(self):
         cfg = solver_toy()
         coeffs = compute_link_coefficients(cfg)
-        prob = EEProblem(cfg, coeffs, threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, coeffs)
         z0 = phase1(prob)
         res = inner_solve(prob, 5e4, z0)
         assert prob.strictly_feasible(res.z)
@@ -244,8 +249,7 @@ class TestInnerSolve:
         """The outer loop's second solve on the reference, from solve 1's
         z, started once at T0 and once at solve 1's final t."""
         cfg = load_scenario(REFERENCE)
-        prob = EEProblem(cfg, compute_link_coefficients(cfg),
-                         threshold=cfg.pr_out_0)
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
         z0 = phase1(prob)
         energy, bits = _energy_and_bits(prob, z0)
         first = inner_solve(prob, bits / energy, z0)
@@ -357,8 +361,7 @@ class TestDinkelbach:
         says: the relay log powers are its only columns."""
         cfg = solver_toy()
         prob = EEProblem(cfg, compute_link_coefficients(cfg),
-                         threshold=cfg.pr_out_0, depleted=True,
-                         transfers=True)
+                         depleted=True, transfers=True)
         lay = prob.layout
         assert lay.user_idx is None
         assert lay.pair_mat.size == 0
@@ -402,8 +405,7 @@ class TestDinkelbach:
         starts every inner solve at T0 must reach the same ratio."""
         cfg = load_scenario(REFERENCE).replace(pr_out_0=pr_out_0, m=m)
         res = dinkelbach_optimize(cfg)
-        prob = EEProblem(cfg, compute_link_coefficients(cfg),
-                         threshold=res.threshold_internal)
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
         if res.status == "infeasible":
             with pytest.raises(InfeasibleError):
                 phase1(prob)
@@ -434,10 +436,10 @@ class TestAuditIntegration:
         ledger = energy_ledger(cfg, res.policy)
         assert ledger.min_slack >= -1e-9
 
-    def test_retry_reuses_tables(self, monkeypatch):
-        """An outage-only audit failure re-solves at 0.9 times the
-        threshold on the tables of the first attempt: one build per call,
-        and the relay snap still runs on every attempt."""
+    def test_outage_audit_failure_is_final(self, monkeypatch):
+        """A forged outage-only audit failure is returned as audit_failed
+        with the audited policy: one table build, one relay snap and one
+        audit, at the scenario's own threshold."""
         builds, snaps, audits = [], [], []
         build, snap = solver_mod.outage_tables, solver_mod._snap_relays
         monkeypatch.setattr(solver_mod, "outage_tables",
@@ -447,20 +449,19 @@ class TestAuditIntegration:
 
         def audit(config, policy):
             feas, report, ee = solver_mod._nc_audit(config, policy)
-            audits.append(feas.feasible)
-            if len(audits) == 1:
-                feas.feasible = False
-                feas.worst = dict.fromkeys(feas.worst, 0.0)
-                feas.worst["outage"] = 1e-12
+            audits.append(policy)
+            feas.feasible = False
+            feas.worst = dict.fromkeys(feas.worst, 0.0)
+            feas.worst["outage"] = 1e-12
             return feas, report, ee
 
         cfg = solver_toy()
         res = dinkelbach_optimize(cfg, audit=audit)
-        assert res.status == "converged"
-        assert res.threshold_internal == pytest.approx(0.9 * cfg.pr_out_0,
-                                                       rel=1e-12)
-        assert len(audits) == len(snaps) == 2
-        assert len(builds) == 1
+        assert res.status == "audit_failed"
+        assert not res.feasible
+        assert res.threshold_internal == cfg.pr_out_0
+        assert len(builds) == len(snaps) == len(audits) == 1
+        assert res.policy is audits[0]
 
 
 class TestSnapRelays:
@@ -535,7 +536,7 @@ class TestBarrierAssembly:
         if kw == "per_user_tables":
             kw = {"tables_weights": (build_per_user_tables(
                 coeffs, relay_assignment(cfg.M, cfg.N)), [1.0] * cfg.M)}
-        return EEProblem(cfg, coeffs, threshold=cfg.pr_out_0, **kw)
+        return EEProblem(cfg, coeffs, **kw)
 
     @staticmethod
     def coordinate_scale(prob, z):
@@ -592,7 +593,7 @@ class TestBarrierAssembly:
             scale = self.coordinate_scale(prob, z0)
             for _ in range(50):
                 z = z0 + 1e-4 * scale * rng.standard_normal(z0.size)
-                zs = np.append(z, float(prob.soft_values_scaled(z).max())
+                zs = np.append(z, float(soft_values_scaled(prob, z).max())
                                + rng.uniform(0.1, 1.0))
                 for t in (1.0, 1e3, 1e9):
                     f = prob.barrier_value(z, q, t)
@@ -661,7 +662,7 @@ class TestBarrierAssembly:
                     crossed.add("bounds")
                 assert crossed == {name}
                 slack = 0.0 if name != "bounds" else 1.0 + float(
-                    prob.soft_values_scaled(z).max())
+                    soft_values_scaled(prob, z).max())
                 zs = np.append(z, slack)
                 for t in (1.0, 1e9):
                     assert prob.barrier_value(z, q, t) \
@@ -677,7 +678,7 @@ class TestBarrierAssembly:
         cfg = self.scenario(scenario)
         prob = self.problem(cfg, "standard")
         z = prob.initial_point()
-        zs = np.append(z, float(prob.soft_values_scaled(z).max()) + 0.5)
+        zs = np.append(z, float(soft_values_scaled(prob, z).max()) + 0.5)
         sig = prob.soft_sigma
         scale = np.append(self.coordinate_scale(prob, z), 1.0)
         self.check(lambda zz: prob.soft_barrier_fgh(zz, 3.0, sig),
