@@ -22,6 +22,7 @@ from .outage import (
     MonomialTable,
     per_link_outage_exact,
     network_outage_exact,
+    relay_miss_prob,
     network_outage_approx,
     network_outage_report,
     build_outage_tables,

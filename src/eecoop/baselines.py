@@ -28,6 +28,7 @@ from .outage import (
     build_per_user_tables,
     network_outage_exact,
     network_outage_report,
+    relay_miss_prob,
 )
 from .solver import SolveResult, dinkelbach_optimize
 
@@ -360,17 +361,15 @@ def brute_force_optimize(config: ScenarioConfig, grid: GridSpec = None,
         bits = np.zeros(())
         out_ok = np.ones((), dtype=bool)
         for k in range(K):
-            rho_list = []
+            miss_list = []
             per_list = []
             for j in range(N):
-                rho_j = np.ones(())
-                for i in range(M):
-                    rho_j = rho_j * on_axis(1.0 - pe_u[i, j, k], i * K + k,
-                                            rows)
-                rho_list.append(np.broadcast_to(rho_j, shape))
+                miss_j = relay_miss_prob([on_axis(pe_u[i, j, k], i * K + k,
+                                                  rows) for i in range(M)])
+                miss_list.append(np.broadcast_to(miss_j, shape))
                 per_list.append(np.broadcast_to(
                     on_axis(pe_r[j, k], (M + j) * K + k, rows), shape))
-            out_k = network_outage_exact(np.stack(rho_list),
+            out_k = network_outage_exact(np.stack(miss_list),
                                          np.stack(per_list), M)[0]
             bits = bits + config.alpha0 * T * M * (1.0 - out_k)
             if enforce_outage:

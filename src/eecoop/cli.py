@@ -272,6 +272,7 @@ def _solve_record(config: ScenarioConfig, res, mode: str) -> dict:
         "e_tot": None if res.e_tot is None else float(res.e_tot),
         "binding_class": res.binding_class,
         "newton_iters_total": int(res.newton_iters_total),
+        "phase1_newton_iters": int(res.phase1_newton_iters),
         "trace": [[float(q), float(v), int(it)] for q, v, it in res.trace],
     }
     if res.policy is not None:

@@ -92,32 +92,51 @@ def relay_recursion(weights, P):
     return P[:M].sum(axis=(0, 1)), P[M].sum(axis=0)
 
 
-def network_outage_exact(rho, pe_relay, M: int):
+def relay_miss_prob(pe_user):
+    """Probability each relay misses at least one user message.
+
+    pe_user[i] is user i's per-link outage to the relays: an array with
+    users on axis 0, or a list of per-user arrays that broadcast.  The
+    miss 1 - prod_i(1 - pe_user[i]) is formed as -expm1(sum_i
+    log1p(-pe_user[i])), so it keeps full relative accuracy when every
+    per-link outage is tiny; a per-link outage of one gives log1p(-1) =
+    -inf and a miss of one.
+    """
+    with np.errstate(divide="ignore"):
+        log_ok = sum(np.log1p(-np.asarray(pe, dtype=float))
+                     for pe in pe_user)
+    return 0.0 - np.expm1(log_ok)     # 0.0 - keeps an exact zero unsigned
+
+
+def network_outage_exact(miss, pe_relay, M: int):
     """Exact network outage from relay statistics, batched over periods.
 
-    rho[j] is the probability relay j decodes all M messages, pe_relay[j]
-    the probability its forwarded codeword fails; both have shape (N, ...)
-    with the relay on axis 0.  Returns (pr_out, pr_A, pr_B) over the
-    trailing axes.
+    miss[j] is the probability relay j fails to decode some message (see
+    relay_miss_prob), pe_relay[j] the probability its forwarded codeword
+    fails; both have shape (N, ...) with the relay on axis 0.  Returns
+    (pr_out, pr_A, pr_B) over the trailing axes.
 
     relay_recursion joins relays one at a time to the joint distribution
     of (decoders, relays that decode and forward), each count capped at
     M.  That is O(N M^2) per period, and
     every state probability is a sum of products of probabilities, so
-    values far below one keep full relative accuracy.
+    values far below one keep full relative accuracy: pr_A, a sum of
+    products of misses, as far as the misses themselves do.
     """
-    rho = np.asarray(rho, dtype=float)
+    miss = np.asarray(miss, dtype=float)
     pe_relay = np.asarray(pe_relay, dtype=float)
-    if rho.ndim < 1 or rho.shape != pe_relay.shape:
-        raise ValueError("rho and pe_relay must share a shape (N, ...)")
-    if np.any((rho < 0) | (rho > 1)) or np.any((pe_relay < 0) | (pe_relay > 1)):
+    if miss.ndim < 1 or miss.shape != pe_relay.shape:
+        raise ValueError("miss and pe_relay must share a shape (N, ...)")
+    if np.any((miss < 0) | (miss > 1)) or np.any((pe_relay < 0)
+                                                 | (pe_relay > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     if M < 1:
         raise ValueError("M must be >= 1")
-    P = np.zeros((M + 1, M) + rho.shape[1:])
+    P = np.zeros((M + 1, M) + miss.shape[1:])
     P[0, 0] = 1.0
     pr_A, pr_B = relay_recursion(
-        ((1.0 - r, r * e, r * (1.0 - e)) for r, e in zip(rho, pe_relay)), P)
+        ((u, (1.0 - u) * e, (1.0 - u) * (1.0 - e))
+         for u, e in zip(miss, pe_relay)), P)
     # pr_A + pr_B <= 1 in exact arithmetic, not always once rounded
     return np.minimum(pr_A + pr_B, 1.0), pr_A, pr_B
 
@@ -535,7 +554,8 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         b_r = np.divide(f_r[:, None], policy.p_r, out=np.full((N, K), np.inf),
                         where=on)
         pe_relay[on] = gammainc(config.m, b_r[on])
-        pr_out, pr_A, pr_B = network_outage_exact(rho, pe_relay, M)
+        pr_out, pr_A, pr_B = network_outage_exact(relay_miss_prob(pe_user),
+                                                  pe_relay, M)
         return OutageReport(mode="exact", pr_out=pr_out, pr_A=pr_A, pr_B=pr_B,
                             pe_user=pe_user, pe_relay=pe_relay, rho=rho)
 

@@ -14,12 +14,16 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
 is convex and solved with a log-barrier interior-point method using damped
 Newton steps and a dense Cholesky factorization.  A barrier stage ends when
 the Newton decrement is small or when the line search's Armijo margin is
-below what the barrier value can resolve.  The first inner solve starts
-its barrier path at t = T0 from the phase-1 point; each later one starts
-from the previous solve's optimum at that solve's final t, so it re-centres
-at the last stage instead of walking back to the t = T0 centre (Boyd &
-Vandenberghe, Convex Optimization, Sec. 11.3).  Solutions are audited
-against the exact outage expression afterwards.
+below what the barrier value can resolve.  Phase 1 and the first inner
+solve start their barrier paths at t = T0 = 100, where the duality-gap
+estimate (constraint count / t) first says something, from a start whose
+transfers sit at 1% of the energy cap, near their centre: a full Newton
+step on -log z can at most double z, so a start far below the centre
+costs one step per doubling.  Each later inner solve starts from the
+previous solve's optimum at that solve's final t, so it re-centres at the
+last stage instead of walking back to the t = T0 centre (Boyd &
+Vandenberghe, Convex Optimization, Sec. 11.3, 11.3.1).
+Solutions are audited against the exact outage expression afterwards.
 
 Every barrier evaluation assembles all periods in one pass.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
@@ -65,16 +69,18 @@ KKT_TOL = 1e-6          # duality-gap target of the barrier method
 BARRIER_MU = 10.0       # barrier parameter growth factor
 NEWTON_TOL = 1e-9       # half squared Newton decrement per stage
 MAX_NEWTON = 80         # Newton iterations per barrier stage
-T0 = 1.0                # initial barrier parameter
+T0 = 100.0              # initial barrier parameter, phase 1 included
 PHASE1_MARGIN = 1e-3    # scaled strict-feasibility margin
 
 
 class InfeasibleError(Exception):
     """Raised when phase 1 certifies the constraint set has no interior."""
 
-    def __init__(self, binding_class: str, detail: str = ""):
+    def __init__(self, binding_class: str, detail: str = "",
+                 newton_iters: int = 0):
         self.binding_class = binding_class
         self.detail = detail
+        self.newton_iters = newton_iters    # phase-1 Newton iterations
         super().__init__(f"infeasible ({binding_class}) {detail}".strip())
 
 
@@ -476,10 +482,13 @@ class EEProblem:
         q.  With sig (class -> slack scale) it is the phase-1 barrier
         t * s + phi(z, s) at z = [z, s].  The value takes the same
         operations with or without derivatives, so barrier_value rounds
-        exactly like barrier_fgh.
+        exactly like barrier_fgh.  Outside the power box it is INF, and no
+        table is evaluated there.
         """
+        if not np.all(self.bounds.values(z) < 0.0):
+            return INF, None, None
+        ev = self.tables_at(z, derivs)
         if sig is None:
-            ev = self.tables_at(z, derivs)
             f, grad, H = self.objective.fgh(z, q, ev, derivs)
             if not np.isfinite(f):
                 return INF, grad, H
@@ -492,13 +501,7 @@ class EEProblem:
             if derivs:
                 grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
                 grad[-1] = t
-        phi = self.bounds.barrier(z, grad, H)
-        if not np.isfinite(phi):
-            return INF, grad, H
-        f += phi
-        if sig is not None:
-            # phase 1 leaves the tables unevaluated outside the power box
-            ev = self.tables_at(z, derivs)
+        f += self.bounds.barrier(z, grad, H)    # finite inside the box
         # sig softens every soft block with the slack z[-1]
         for blk, at in self._soft_blocks(z, ev):
             soft = None if sig is None else \
@@ -571,7 +574,10 @@ class EEProblem:
         All powers start at the common level that parks the outage
         posynomials at half the threshold, so the stiff constraint class
         begins satisfied and phase 1 only has to negotiate the mildly
-        scaled energy rows.  The depleted variant's pinned user powers
+        scaled energy rows.  Transfers start at 1% of the energy cap,
+        near their t = 1 centre (0.6-2.5 J on the (3, 8) benchmark
+        networks), since a full Newton step at most doubles a transfer
+        that starts below it.  The depleted variant's pinned user powers
         must lie inside the power box, or no point is feasible: a harvest
         at or below 1.01 * P_MIN * T, or at or above p_max * T, raises
         InfeasibleError.
@@ -594,7 +600,7 @@ class EEProblem:
         if self.layout.with_users:
             z[self.layout.user_idx.ravel()] = x_all
         z[self.layout.relay_idx.ravel()] = x_all
-        z[self.layout.pair_mat] = min(1e-6, 0.25 * self.e_cap)
+        z[self.layout.pair_mat] = 1e-2 * self.e_cap
         return z
 
     def extract_policy(self, z) -> Policy:
@@ -685,9 +691,13 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     z0 must be strictly feasible.  The path starts at barrier parameter t0
     and grows it by BARRIER_MU until the duality-gap estimate (constraint
     count / barrier parameter) is at or below KKT_TOL; it returns the
-    centred point of that last stage.  A start at the optimum of a nearby
-    problem can pass that solve's t_final: its one stage then re-centres
-    in place instead of walking back to the centre of t = T0.
+    centred point of that last stage: from T0 = 100, eight stages to
+    t = 1e9 on the bundled network.  Below T0 the estimate (about
+    150-190 / t on the bundled and the (3, 8) benchmark networks) says
+    nothing, and stages there would only walk toward the centre.  A
+    start at the optimum of a nearby problem can pass that solve's
+    t_final: its one stage then re-centres in place instead of walking
+    back to the centre of t = T0.
     """
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
@@ -709,12 +719,15 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
                        newton_iters=total, t_final=t)
 
 
-def phase1(problem: EEProblem) -> np.ndarray:
+def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
     """Find a strictly feasible point or certify infeasibility.
 
     Minimizes a shared scaled slack s over the soft constraints g <= s*sigma
     while keeping hard bounds exact.  Succeeds once s drops below the
     margin; declares infeasibility once the duality gap proves s* > 0.
+    The barrier path starts at t = T0, like the first inner solve's.
+    Returns (z, Newton iterations); the InfeasibleError carries its
+    iterations too.
     """
     z = problem.initial_point()
     # Effective per-class scales.  Base sigmas make the classes mutually
@@ -732,7 +745,7 @@ def phase1(problem: EEProblem) -> np.ndarray:
             sig[cls] = max(sig[cls], raw)
     svals = np.concatenate([g / sig[cls] for cls, g in blocks])
     if float(svals.max()) < -PHASE1_MARGIN:
-        return z
+        return z, 0
     # the slack must exceed the worst violation by more than one ULP,
     # or the barrier evaluates ln(0) when violations are huge
     worst = float(svals.max())
@@ -742,18 +755,20 @@ def phase1(problem: EEProblem) -> np.ndarray:
     # bounds included, not just the softened rows
     n_ph1 = problem.n_con
 
-    t = 1.0
+    t = T0
+    total = 0
     any_converged = False
     for _stage in range(24):
-        zs, _it, conv = _damped_newton(
+        zs, it, conv = _damped_newton(
             zs,
             lambda zz: problem.soft_barrier_fgh(zz, t, sig),
             lambda zz: problem.soft_barrier_value(zz, t, sig),
             NEWTON_TOL, MAX_NEWTON)
+        total += it
         any_converged = any_converged or conv
         s = zs[-1]
         if s < -PHASE1_MARGIN:
-            return zs[:-1]
+            return zs[:-1], total
         # the duality gap bounds the optimal slack: s* >= s - n/t, but
         # only at a converged central-path point; a stalled Newton
         # leaves s stale
@@ -763,7 +778,7 @@ def phase1(problem: EEProblem) -> np.ndarray:
             # strictly feasible, and provably no point clears the full
             # margin; pushing t further only drives the active slacks
             # below floating-point resolution, so accept this interior
-            return zs[:-1]
+            return zs[:-1], total
         t *= BARRIER_MU
     if not any_converged:
         raise RuntimeError("phase 1 stalled: no barrier stage converged, "
@@ -775,7 +790,7 @@ def phase1(problem: EEProblem) -> np.ndarray:
         if v > worst_val:
             worst_val, worst_class = v, cls
     raise InfeasibleError(worst_class,
-                          f"phase-1 slack {zs[-1]:.3e} (scaled)")
+                          f"phase-1 slack {zs[-1]:.3e} (scaled)", total)
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +857,10 @@ class SolveResult:
     defect, and there is no threshold retry.  q_star is the achieved
     bits-per-joule ratio of the approximate model; ee_exact re-evaluates
     the returned policy with exact outage.  trace holds one (q, V,
-    newton_iterations) triple per outer iteration.  threshold_internal is
-    the per-period outage bound the tables were solved for, pr_out_0.
+    newton_iterations) triple per outer iteration; newton_iters_total sums
+    its inner-solve counts and phase1_newton_iters counts phase 1's, on an
+    infeasible result too.  threshold_internal is the per-period outage
+    bound the tables were solved for, pr_out_0.
     """
 
     status: str
@@ -857,6 +874,7 @@ class SolveResult:
     threshold_internal: float = None
     binding_class: str = None
     newton_iters_total: int = 0
+    phase1_newton_iters: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -941,11 +959,12 @@ def dinkelbach_optimize(config: ScenarioConfig,
     problem = EEProblem(config, coeffs, transfers=transfers,
                         depleted=depleted, tables_weights=tables_weights)
     try:
-        z = phase1(problem)
+        z, phase1_iters = phase1(problem)
     except InfeasibleError as err:
         return SolveResult(status="infeasible",
                            binding_class=err.binding_class,
-                           threshold_internal=config.pr_out_0)
+                           threshold_internal=config.pr_out_0,
+                           phase1_newton_iters=err.newton_iters)
     energy, bits = problem.objective.energy_and_bits(z, problem.tables_at(z))
     q = max(bits, 0.0) / energy
     trace = []
@@ -983,4 +1002,5 @@ def dinkelbach_optimize(config: ScenarioConfig,
                        e_tot=total_energy(config, policy),
                        outage_exact=outage_report,
                        threshold_internal=config.pr_out_0,
-                       newton_iters_total=total_iters)
+                       newton_iters_total=total_iters,
+                       phase1_newton_iters=phase1_iters)

@@ -105,17 +105,6 @@ def per_link_outage_approx(p, c, m):
     return c * p ** (-m)
 
 
-def relay_decode_prob(pe_user):
-    """Probability each relay decodes all M messages.
-
-    pe_user has shape (..., M, N); the product runs over the user axis.
-    """
-    pe_user = np.asarray(pe_user, dtype=float)
-    if np.any(pe_user < 0.0) or np.any(pe_user > 1.0):
-        raise ValueError("per-link outage probabilities must lie in [0, 1]")
-    return np.prod(1.0 - pe_user, axis=-2)
-
-
 # ---------------------------------------------------------------------------
 # oracles: the monomial tables expanded relay subset by relay subset
 

@@ -36,6 +36,7 @@ from eecoop.outage import (
     network_outage_exact,
     network_outage_report,
     per_link_outage_exact,
+    relay_miss_prob,
 )
 from eecoop.solver import SolverOptions, dinkelbach_optimize, evaluate_V_prime
 from helpers import make_config, solver_toy
@@ -127,8 +128,7 @@ def test_01_exact_outage_matches_enumeration():
         N = int(rng.integers(1, 5))
         pe_u = rng.uniform(1e-6, 0.5, size=(M, N))
         pe_r = rng.uniform(1e-6, 0.5, size=N)
-        rho = np.prod(1.0 - pe_u, axis=0)
-        got = network_outage_exact(rho, pe_r, M)[0]
+        got = network_outage_exact(relay_miss_prob(pe_u), pe_r, M)[0]
         want = enumerate_outage(pe_u, pe_r, M)
         worst = max(worst, abs(got - want))
     elapsed = time.monotonic() - t0

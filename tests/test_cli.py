@@ -140,6 +140,9 @@ class TestOptimize:
         assert np.asarray(pol["transfers"]).shape == (2, 2, 2)
         qs = [step[0] for step in rec["trace"]]
         assert all(qs[i] <= qs[i + 1] + 1e-12 for i in range(len(qs) - 1))
+        assert rec["newton_iters_total"] == sum(s[2] for s in rec["trace"])
+        assert isinstance(rec["phase1_newton_iters"], int)
+        assert rec["phase1_newton_iters"] >= 0
         assert max(rec["outage"]["pr_out"]) <= 0.05 * (1 + 1e-5)
 
     def test_override_changes_threshold(self, toy_path):

@@ -27,6 +27,7 @@ from eecoop.outage import (
     network_outage_report,
     outage_tables,
     per_link_outage_exact,
+    relay_miss_prob,
     relay_recursion,
 )
 from helpers import (
@@ -34,7 +35,6 @@ from helpers import (
     expanded_per_user_tables,
     make_config,
     per_link_outage_approx,
-    relay_decode_prob,
     tiled_config,
 )
 
@@ -93,7 +93,7 @@ class TestSubsetTables:
         for M, subsets in zip(range(1, 6), (1, 5, 11, 15, 16)):
             _, pr_a, _ = network_outage_exact(half, np.zeros(4), M)
             assert pr_a * 16 == subsets
-        _, pr_a, pr_b = network_outage_exact(np.ones(3), np.full(3, 0.5), 2)
+        _, pr_a, pr_b = network_outage_exact(np.zeros(3), np.full(3, 0.5), 2)
         assert pr_a == 0.0
         assert pr_b * 8 == 1 + 3
 
@@ -107,7 +107,7 @@ class TestSubsetTables:
             math.comb(N, n) * r ** n * (1 - r) ** (N - n)
             * math.comb(n, t) * (1 - e) ** t * e ** (n - t)
             for n in range(M, N + 1) for t in range(M))
-        out, got_a, got_b = network_outage_exact(np.full(N, r),
+        out, got_a, got_b = network_outage_exact(np.full(N, 1.0 - r),
                                                  np.full(N, e), M)
         assert got_a == pytest.approx(pr_a, rel=1e-13)
         assert got_b == pytest.approx(pr_b, rel=1e-13)
@@ -188,8 +188,7 @@ class TestNetworkOutageExact:
         """Frozen rational-arithmetic value: 4305257/12500000."""
         pe_u = np.array([[0.1, 0.2, 0.15], [0.05, 0.25, 0.1]])
         pe_r = np.array([0.1, 0.3, 0.2])
-        rho = relay_decode_prob(pe_u)
-        out, pr_a, pr_b = network_outage_exact(rho, pe_r, 2)
+        out, pr_a, pr_b = network_outage_exact(relay_miss_prob(pe_u), pe_r, 2)
         assert out == pytest.approx(0.34442056, abs=1e-12)
         assert pr_a == pytest.approx(0.158815, abs=1e-12)
         assert pr_b == pytest.approx(0.18560556, abs=1e-12)
@@ -198,8 +197,7 @@ class TestNetworkOutageExact:
         """Frozen rational-arithmetic value: 113730552979/160000000000."""
         pe_u = np.array([[0.1] * 4, [0.125] * 4, [0.2] * 4])
         pe_r = np.array([0.25, 0.1, 0.5, 0.05])
-        rho = relay_decode_prob(pe_u)
-        out, pr_a, pr_b = network_outage_exact(rho, pe_r, 3)
+        out, pr_a, pr_b = network_outage_exact(relay_miss_prob(pe_u), pe_r, 3)
         assert out == pytest.approx(0.71081595611875, abs=1e-12)
         assert pr_a == pytest.approx(0.47240083, abs=1e-12)
         assert pr_b == pytest.approx(0.23841512611875, abs=1e-12)
@@ -208,7 +206,7 @@ class TestNetworkOutageExact:
         # fail = not decoded, or decoded but not forwarded:
         # 0.25 + 0.75 * 0.2 = 0.4
         out, pr_a, pr_b = network_outage_exact(
-            np.array([0.75]), np.array([0.2]), 1)
+            np.array([0.25]), np.array([0.2]), 1)
         assert out == pytest.approx(0.4, abs=1e-15)
         assert pr_a == pytest.approx(0.25, abs=1e-15)
         assert pr_b == pytest.approx(0.15, abs=1e-15)
@@ -220,8 +218,8 @@ class TestNetworkOutageExact:
             N = int(rng.integers(1, 5))
             pe_u = rng.uniform(0.0, 1.0, size=(M, N))
             pe_r = rng.uniform(0.0, 1.0, size=N)
-            rho = relay_decode_prob(pe_u)
-            out, pr_a, pr_b = network_outage_exact(rho, pe_r, M)
+            out, pr_a, pr_b = network_outage_exact(relay_miss_prob(pe_u),
+                                                   pe_r, M)
             ref, ref_a, ref_b = enumeration_oracle(pe_u, pe_r, M)
             assert out == pytest.approx(ref, abs=1e-12)
             assert pr_a == pytest.approx(ref_a, abs=1e-12)
@@ -231,7 +229,7 @@ class TestNetworkOutageExact:
 
     def test_fewer_relays_than_users_always_fails(self):
         out, pr_a, pr_b = network_outage_exact(
-            np.array([0.9]), np.array([0.01]), 2)
+            np.array([0.1]), np.array([0.01]), 2)
         assert out == pytest.approx(1.0, abs=1e-15)
         assert pr_b == 0.0
 
@@ -239,14 +237,14 @@ class TestNetworkOutageExact:
         """Relays on axis 0, any trailing axes: each trailing index equals
         the call on that column alone."""
         rng = np.random.default_rng(29)
-        rho = rng.uniform(0.0, 1.0, size=(3, 6, 7))
+        miss = rng.uniform(0.0, 1.0, size=(3, 6, 7))
         pe_r = rng.uniform(0.0, 1.0, size=(3, 6, 7))
-        batch = network_outage_exact(rho, pe_r, 2)
+        batch = network_outage_exact(miss, pe_r, 2)
         for part in batch:
             assert part.shape == (6, 7)
         for a in range(6):
             for b in range(7):
-                ref = network_outage_exact(rho[:, a, b], pe_r[:, a, b], 2)
+                ref = network_outage_exact(miss[:, a, b], pe_r[:, a, b], 2)
                 for part, want in zip(batch, ref):
                     assert part[a, b] == pytest.approx(want, rel=1e-15,
                                                        abs=0.0)
@@ -255,9 +253,9 @@ class TestNetworkOutageExact:
         """With fewer relays than users pr_A holds all the mass, one up to
         rounding, and pr_out must still not pass one."""
         rng = np.random.default_rng(61)
-        rho = rng.uniform(0.0, 1.0, size=(2, 500))
+        miss = rng.uniform(0.0, 1.0, size=(2, 500))
         pe_r = rng.uniform(0.0, 1.0, size=(2, 500))
-        out, _, pr_b = network_outage_exact(rho, pe_r, 3)
+        out, _, pr_b = network_outage_exact(miss, pe_r, 3)
         assert np.all(out <= 1.0)
         np.testing.assert_allclose(out, 1.0, rtol=1e-15)
         assert np.all(pr_b == 0.0)
@@ -269,8 +267,6 @@ class TestNetworkOutageExact:
             network_outage_exact(np.array([0.5]), np.array([0.1]), 0)
         with pytest.raises(ValueError):
             network_outage_exact(np.full(2, 0.5), np.full(3, 0.1), 1)
-        with pytest.raises(ValueError):
-            relay_decode_prob(np.array([[-0.1]]))
 
 
 class TestMonomialTables:
@@ -643,8 +639,10 @@ class TestTablesBoundExact:
     one, and the relay recursion only adds and multiplies.  So the solver's
     A+B table, under either evaluator, and the per-user tables of plain
     relaying are never below exact outage, including where the per-link
-    outage nears one.  Part A alone is not checked: its exact value takes
-    1 - prod(1 - pe) and loses its relative accuracy below pe ~ 1e-13.
+    outage nears one.  So is part A alone, whose exact value keeps its
+    relative accuracy at any per-link outage: each relay's miss is
+    -expm1(sum log1p(-pe)), not 1 - prod(1 - pe), which cancels below
+    pe ~ 1e-13.
     """
 
     @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.5, 2.5, 4.0])
@@ -656,11 +654,15 @@ class TestTablesBoundExact:
         cfg = tiled_config(ref, ref.M, ref.N, 3)
         coeffs = compute_link_coefficients(cfg)
         M, N, K = cfg.M, cfg.N, cfg.K
-        coded = []
+        coded, part_a = [], []
         for threshold in (-1, math.inf):   # recursion, then terms
             monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", threshold)
-            coded.append(build_outage_tables(coeffs, M, N, parts=("AB",))[0])
-        assert coded[0].recursion is not None and coded[1].recursion is None
+            a, ab = build_outage_tables(coeffs, M, N, parts=("A", "AB"))
+            part_a.append(a)
+            coded.append(ab)
+        for tables in (coded, part_a):
+            assert tables[0].recursion is not None
+            assert tables[1].recursion is None
         per_user = build_per_user_tables(coeffs, relay_assignment(M, N))
         rng = np.random.default_rng([16, int(100 * m)])
         for _ in range(300):
@@ -673,6 +675,9 @@ class TestTablesBoundExact:
             assert report.pe_user[:, :, 0].min() > 0.99
             for table in coded:
                 assert np.all(report.pr_out
+                              <= table.value(x) * (1.0 + 1e-12))
+            for table in part_a:
+                assert np.all(report.pr_A
                               <= table.value(x) * (1.0 + 1e-12))
             exact = per_user_outage_exact(cfg, policy)
             for i, table in enumerate(per_user):
@@ -691,8 +696,8 @@ class TestOutageReport:
                                    atol=1e-15)
         # period independence: per-period recomputation matches
         for k in range(2):
-            rho = relay_decode_prob(rep.pe_user[:, :, k])
-            out, _, _ = network_outage_exact(rho, rep.pe_relay[:, k], 2)
+            miss = relay_miss_prob(rep.pe_user[:, :, k])
+            out, _, _ = network_outage_exact(miss, rep.pe_relay[:, k], 2)
             assert rep.pr_out[k] == pytest.approx(out, abs=1e-15)
 
     def test_relay_off_exact(self):
