@@ -40,7 +40,6 @@ from .baselines import (
     PolicyEvaluation,
     BruteForceResult,
     GridSpec,
-    as_evaluation,
     brute_force_optimize,
     depleted_energy_policy,
     no_transfer_policy,

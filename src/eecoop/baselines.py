@@ -9,7 +9,7 @@ powers with energy transfers completed greedily.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammainc
@@ -25,7 +25,8 @@ from .model import (
     validate_policy,
 )
 from .outage import (
-    build_per_user_tables,
+    OutageReport,
+    build_outage_tables,
     network_outage_exact,
     network_outage_report,
     relay_miss_prob,
@@ -51,23 +52,6 @@ class PolicyEvaluation:
     e_tot: float = None          # J
     feasible: bool = False
     extra: dict = field(default_factory=dict)
-
-
-def as_evaluation(method: str, res: SolveResult) -> PolicyEvaluation:
-    """Flatten a SolveResult into the common comparison record."""
-    if res.status == "infeasible":
-        return PolicyEvaluation(method=method, status="infeasible",
-                                extra={"binding_class": res.binding_class})
-    pr = None
-    if res.outage_exact is not None:
-        pr = np.atleast_1d(res.outage_exact.pr_out)
-    return PolicyEvaluation(
-        method=method,
-        status="ok" if res.feasible else "audit_failed",
-        policy=res.policy, ee=res.ee_exact, pr_out=pr, e_tot=res.e_tot,
-        feasible=res.feasible,
-        extra={"q_star": res.q_star, "solver_status": res.status,
-               "outer_iterations": len(res.trace)})
 
 
 def no_transfer_policy(config: ScenarioConfig) -> SolveResult:
@@ -205,32 +189,33 @@ def relay_assignment(M: int, N: int):
     return [[j for j in range(N) if j % M == i] for i in range(M)]
 
 
-def per_user_outage_exact(config: ScenarioConfig, policy: Policy):
-    """Exact per-user outage, shape (M, K), for per-message DF relaying.
+def _per_user_report(config: ScenarioConfig,
+                     policy: Policy) -> OutageReport:
+    """Exact outage of per-message DF relaying: pr_out, pr_A and pr_B hold
+    one row per user, shape (M, K).
 
-    User i's message is lost in a period iff every relay assigned to user
-    i either fails to decode it or fails its forwarding slot.
+    User i and its relays form a one-user network, whose message is lost
+    in a period iff every relay either fails to decode it or fails its
+    forwarding slot: network_outage_exact with M = 1, user i's per-link
+    outages standing for the relays' misses.
     """
     rep = network_outage_report(config, policy, mode="exact")
-    pe_u, pe_r = rep.pe_user, rep.pe_relay   # (M, N, K), (N, K)
-    out = np.empty((config.M, config.K))
-    for i, assigned in enumerate(relay_assignment(config.M, config.N)):
-        fail = pe_u[i, assigned, :] \
-            + (1.0 - pe_u[i, assigned, :]) * pe_r[assigned, :]
-        out[i] = np.prod(fail, axis=0)
-    return out
+    per_user = np.array([
+        network_outage_exact(rep.pe_user[i, relays], rep.pe_relay[relays], 1)
+        for i, relays in enumerate(relay_assignment(config.M, config.N))])
+    pr_out, pr_A, pr_B = per_user.transpose(1, 0, 2)
+    return replace(rep, pr_out=pr_out, pr_A=pr_A, pr_B=pr_B)
 
 
-@dataclass
-class PerUserOutageReport:
-    """Exact per-user outage of the non-coded protocol, shape (M, K)."""
-
-    pr_out: np.ndarray
+def per_user_outage_exact(config: ScenarioConfig, policy: Policy):
+    """Exact per-user outage, shape (M, K), for per-message DF relaying."""
+    return _per_user_report(config, policy).pr_out
 
 
 def _nonc_audit(config: ScenarioConfig, policy: Policy):
     feas = validate_policy(config, policy, check_outage=False)
-    out = per_user_outage_exact(config, policy)
+    report = _per_user_report(config, policy)
+    out = report.pr_out
     limit = config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)
     over = float(np.max(out - limit, initial=0.0))
     if over > 0.0:
@@ -239,7 +224,7 @@ def _nonc_audit(config: ScenarioConfig, policy: Policy):
         feas.messages.append(f"per-user outage exceeds target by {over:.3e}")
     e_tot = total_energy(config, policy)
     bits = config.alpha0 * config.T * float((1.0 - out).sum())
-    return feas, PerUserOutageReport(pr_out=out), bits / e_tot
+    return feas, report, bits / e_tot
 
 
 def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
@@ -249,18 +234,25 @@ def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
     message, so the second-hop slots are partitioned among the users
     (relay_assignment) and the outage target applies to every user
     separately.  Channel uses and energy slots match the network-coded
-    protocol: every relay still transmits once per period.  The returned
-    result's outage report carries the per-user outage matrix.  With fewer
-    relays than users some user has no relay and loses its message with
-    probability one, so the result is infeasible with binding class
-    outage.
+    protocol: every relay still transmits once per period.
+
+    User i and its relays form a one-user network, so its outage is that
+    network's A+B event, the product over its relays of (f_j + g_j): its
+    table is the network-coded one of the group ([i], relays), and its
+    exact outage network_outage_exact with M = 1.  The returned result's
+    outage report holds one row per user.  With fewer relays than users
+    some user has no relay and loses its message with probability one, so
+    the result is infeasible with binding class outage.
     """
-    if config.N < config.M:
+    M, N = config.M, config.N
+    if N < M:
         return SolveResult(status="infeasible", binding_class="outage")
-    tables = build_per_user_tables(compute_link_coefficients(config),
-                                   relay_assignment(config.M, config.N))
-    return dinkelbach_optimize(
-        config, tables_weights=(tables, [1.0] * config.M), audit=_nonc_audit)
+    coeffs = compute_link_coefficients(config)
+    tables = [build_outage_tables(coeffs, M, N, parts=("AB",),
+                                  group=([i], relays))[0]
+              for i, relays in enumerate(relay_assignment(M, N))]
+    return dinkelbach_optimize(config, tables_weights=(tables, [1.0] * M),
+                               audit=_nonc_audit)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ of about 0.15 ms per call.  Per call at K = 4 periods, terms vs recursion
   (4, 6)   1,021    0.15 vs 0.17 ms   0.028 vs 0.048 ms
   (2, 8)   2,240    0.31 vs 0.16 ms   0.051 vs 0.042 ms
   (3, 8)   7,408    1.52 vs 0.30 ms   0.22  vs 0.056 ms
+
+A table may cover a sub-network only, a group of users and the relays that
+serve them.  Plain decode-and-forward relaying is such a table: user i and
+the relays assigned to it form a one-user network, whose A+B event, every
+relay failing to decode or to forward, is the product over its relays of
+(f_j + g_j).  The table reads only the group's rows of the log powers, and
+its derivatives are zero outside them.
 """
 
 from __future__ import annotations
@@ -193,11 +200,18 @@ class OutageRecursion:
     the exact-up-to-one-rounding build of T, so a column of a batched call
     rounds exactly like the call on that column alone.  A weight or state
     that overflows reads as an infinite value, as the terms would.
+
+    The network may be a group of a larger one's users and relays: coeffs
+    are then the group's, x has width rows, of which the group's are
+    x_rows, its users then its relays, and derivatives are zero outside
+    them.
     """
 
-    def __init__(self, coeffs: LinkCoefficients, events):
+    def __init__(self, coeffs: LinkCoefficients, events, x_rows, width):
         self.c_u, self.c_r, self.m = coeffs.c_u, coeffs.c_r, coeffs.m
         self.M, self.N = self.c_u.shape
+        self.x_rows, self.width = x_rows, width
+        self.user_rows, self.relay_rows = x_rows[:self.M], x_rows[self.M:]
         self.events = tuple(events)
         self.n_terms = sum(_term_count(self.M, self.N, e)
                            for e in self.events)
@@ -221,7 +235,7 @@ class OutageRecursion:
         nonzero for a state pair, so T is exact up to one rounding however
         the product sums."""
         M, N, m = self.M, self.N, self.m
-        xk = np.asarray(x, dtype=float).reshape(M + N, -1).T
+        xk = np.asarray(x, dtype=float).reshape(self.width, -1)[self.x_rows].T
         fu = self.c_u.T * np.exp(-m * xk[:, None, :M])
         g = self.c_r * np.exp(-m * xk[:, M:])
         w = np.empty((N, len(self.events), len(xk), 3))
@@ -253,7 +267,7 @@ class OutageRecursion:
         return float(v[0]) if np.ndim(x) == 1 else v
 
     def value_grad_hess(self, x):
-        M, N, m = self.M, self.N, self.m
+        N, m, width = self.N, self.m, self.width
         with np.errstate(over="ignore", invalid="ignore"):
             T, fu, g = self._transfers(x)
             _, P, K, S, _ = T.shape
@@ -278,18 +292,18 @@ class OutageRecursion:
                 W[..., 2 * l:2 * l + 2] = start[l].transpose(0, 1, 3, 2)
             d2 = d2.transpose(1, 2, 0, 3, 4).reshape(P, K, 2 * N, 2 * N)
             # Jacobian of the weights in x; A's dec weight is the constant 1
-            J = np.zeros((P, K, N, 2, M + N))
-            J[:, :, :, 0, :M] = -m * fu
-            J_g = np.zeros((K, N, M + N))
-            J_g[:, np.arange(N), M + np.arange(N)] = -m * g
+            J = np.zeros((P, K, N, 2, width))
+            J[:, :, :, 0, self.user_rows] = -m * fu
+            J_g = np.zeros((K, N, width))
+            J_g[:, np.arange(N), self.relay_rows] = -m * g
             J[self.with_g, :, :, 1] = J_g
-            J = J.reshape(P, K, 2 * N, M + N)
+            J = J.reshape(P, K, 2 * N, width)
             grad = (d1 @ J)[:, :, 0].sum(axis=0)
             G = (J.transpose(0, 1, 3, 2) @ (d2 @ J)).sum(axis=0)
             # every weight is a sum of single-power monomials p**-m, whose
             # second derivative in log p is -m times the first
             H = G + G.transpose(0, 2, 1)
-            H[:, np.arange(M + N), np.arange(M + N)] -= m * grad
+            H[:, np.arange(width), np.arange(width)] -= m * grad
         if np.ndim(x) == 1:
             return float(v[0]), grad[0], H[0]
         return v, grad.T, H
@@ -393,11 +407,6 @@ class _Posynomial:
                                   np.multiply.outer(self.coef,
                                                     other.coef).ravel())
 
-    def table(self, dims, M: int, m: float) -> MonomialTable:
-        counts = np.stack(np.unravel_index(self.keys, dims), axis=-1)
-        return MonomialTable(coef=self.coef, w=-m * counts, M=M,
-                             N=len(dims) - M, m=m)
-
 
 _ZERO = _Posynomial(np.zeros(0, dtype=np.int64), np.zeros(0))
 _ONE = _Posynomial(np.zeros(1, dtype=np.int64), np.ones(1))
@@ -413,38 +422,20 @@ def _key_layout(M: int, N: int):
                                       dims)
 
 
-def build_per_user_tables(coeffs: LinkCoefficients, groups):
-    """Posynomial upper bounds on per-user outage without network coding.
-
-    groups[i] lists the relays that forward user i's message, and the
-    message is lost when it fails through every one of them: relay j fails
-    it when it cannot decode (c_u[i, j] * p_i**-m) or its forwarding
-    transmission fails (c_r[j] * q_j**-m).  Each user's table is the
-    product of these two-term sums over its relays, with identical
-    exponent rows merged.
-    """
-    M, N = coeffs.c_u.shape
-    dims, place = _key_layout(M, N)
-    tables = []
-    for i, assigned in enumerate(groups):
-        posy = _ONE
-        for j in assigned:
-            posy = posy * _Posynomial.merged(
-                place[[i, M + j]], [coeffs.c_u[i, j], coeffs.c_r[j]])
-        tables.append(posy.table(dims, M, coeffs.m))
-    return tables
+def _recursion_table(coeffs: LinkCoefficients, events, rows,
+                     shape) -> MonomialTable:
+    return MonomialTable(coef=None, w=None, M=shape[0], N=shape[1],
+                         m=coeffs.m, recursion=OutageRecursion(
+                             coeffs, events, rows, sum(shape)))
 
 
-def _recursion_table(coeffs: LinkCoefficients, events) -> MonomialTable:
-    rec = OutageRecursion(coeffs, events)
-    return MonomialTable(coef=None, w=None, M=rec.M, N=rec.N, m=rec.m,
-                         recursion=rec)
-
-
-def _expanded_table(coeffs: LinkCoefficients, part) -> MonomialTable:
+def _expanded_table(coeffs: LinkCoefficients, part, rows,
+                    shape) -> MonomialTable:
     """relay_recursion of each event in part run on sparse posynomials;
     an event's rows are merged and sorted lexicographically by exponent
-    counts, and A's rows come before B's."""
+    counts, and A's rows come before B's.  coeffs are a group's, whose
+    exponents go to the columns `rows` of a table over the (M, N) = shape
+    network."""
     (M, N), m = coeffs.c_u.shape, coeffs.m
     dims, place = _key_layout(M, N)
     f = [_Posynomial.merged(place[:M], coeffs.c_u[:, j]) for j in range(N)]
@@ -457,13 +448,15 @@ def _expanded_table(coeffs: LinkCoefficients, part) -> MonomialTable:
         weights = (((f_j, _ONE, _ZERO) for f_j in f) if event == "A"
                    else zip(f, g, [_ONE] * N))
         sums.append(relay_recursion(weights, P)["AB".index(event)])
-    return _Posynomial(np.concatenate([s.keys for s in sums]),
-                       np.concatenate([s.coef for s in sums])
-                       ).table(dims, M, m)
+    keys = np.concatenate([s.keys for s in sums])
+    w = np.zeros((keys.size, sum(shape)))
+    w[:, rows] = -m * np.stack(np.unravel_index(keys, dims), axis=-1)
+    return MonomialTable(coef=np.concatenate([s.coef for s in sums]), w=w,
+                         M=shape[0], N=shape[1], m=m)
 
 
 def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int,
-                        parts=("A", "B")):
+                        parts=("A", "B"), group=None):
     """Monomial tables of the approximate outage, one per part.
 
     A part is "A", "B" or "AB", the sum of both, which loses all M
@@ -473,13 +466,23 @@ def build_outage_tables(coeffs: LinkCoefficients, M: int, N: int,
     A part of more than RECURSION_MIN_TERMS terms is never expanded and
     evaluates by OutageRecursion; a smaller one is expanded by running
     relay_recursion on sparse posynomials.
+
+    group = (users, relays) builds the tables of the network made of those
+    users and relays only, by default the whole network.  They take the
+    whole network's log powers, read only the group's rows, and have zero
+    derivatives and exponents outside them.
     """
     if coeffs.c_u.shape != (M, N) or coeffs.c_r.shape != (N,):
         raise ValueError("link coefficient shapes do not match (M, N)")
-    return tuple(_recursion_table(coeffs, part)
-                 if sum(_term_count(M, N, e) for e in part)
+    users, relays = (range(M), range(N)) if group is None else group
+    sub = LinkCoefficients(c_u=coeffs.c_u[np.ix_(users, relays)],
+                           c_r=coeffs.c_r[relays], m=coeffs.m)
+    rows = np.concatenate([users, np.add(M, relays)])
+    return tuple(_recursion_table(sub, part, rows, (M, N))
+                 if sum(_term_count(*sub.c_u.shape, e) for e in part)
                  > RECURSION_MIN_TERMS
-                 else _expanded_table(coeffs, part) for part in parts)
+                 else _expanded_table(sub, part, rows, (M, N))
+                 for part in parts)
 
 
 def outage_tables(coeffs: LinkCoefficients, M: int, N: int):
@@ -514,17 +517,17 @@ class OutageReport:
 
     In exact mode every field is a probability.  In approximate mode the
     per-link entries are the raw monomials and pr_A/pr_B the raw
-    posynomials, which may exceed one; rho is then clamped at zero and
-    purely informational.
+    posynomials, which may exceed one.  pr_out, pr_A and pr_B hold one
+    value per period, or, for plain relaying (one one-user network per
+    user), one row of them per user.
     """
 
     mode: str              # "exact" or "approx"
-    pr_out: np.ndarray     # (K,)
-    pr_A: np.ndarray       # (K,)
-    pr_B: np.ndarray       # (K,)
+    pr_out: np.ndarray     # (K,), per user (M, K)
+    pr_A: np.ndarray       # likewise
+    pr_B: np.ndarray       # likewise
     pe_user: np.ndarray    # (M, N, K)
     pe_relay: np.ndarray   # (N, K)
-    rho: np.ndarray        # (N, K)
 
 
 def network_outage_report(config: ScenarioConfig, policy: Policy,
@@ -546,7 +549,6 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         f_u, f_r = link_b_factors(config)
         b_u = f_u[:, :, None] / policy.p_u[:, None, :]
         pe_user = gammainc(config.m, b_u)
-        rho = np.prod(1.0 - pe_user, axis=0)
         pe_relay = np.ones((N, K))
         on = policy.p_r > 0.0
         if np.any(policy.p_r < 0.0):
@@ -557,7 +559,7 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         pr_out, pr_A, pr_B = network_outage_exact(relay_miss_prob(pe_user),
                                                   pe_relay, M)
         return OutageReport(mode="exact", pr_out=pr_out, pr_A=pr_A, pr_B=pr_B,
-                            pe_user=pe_user, pe_relay=pe_relay, rho=rho)
+                            pe_user=pe_user, pe_relay=pe_relay)
 
     if mode == "approx":
         if np.any(policy.p_r <= 0.0):
@@ -568,11 +570,9 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
             coeffs = compute_link_coefficients(config)
         pe_user = coeffs.c_u[:, :, None] * policy.p_u[:, None, :] ** (-config.m)
         pe_relay = coeffs.c_r[:, None] * policy.p_r ** (-config.m)
-        rho = np.prod(np.maximum(1.0 - pe_user, 0.0), axis=0)
         pr_out, pr_A, pr_B = network_outage_approx(policy.p_u, policy.p_r,
                                                    coeffs)
         return OutageReport(mode="approx", pr_out=pr_out, pr_A=pr_A,
-                            pr_B=pr_B, pe_user=pe_user, pe_relay=pe_relay,
-                            rho=rho)
+                            pr_B=pr_B, pe_user=pe_user, pe_relay=pe_relay)
 
     raise ValueError(f"unknown outage mode {mode!r}")

@@ -6,8 +6,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from eecoop.baselines import relay_assignment
 from eecoop.model import P_MIN, Policy, ScenarioConfig
-from eecoop.outage import MonomialTable
+from eecoop.outage import MonomialTable, build_outage_tables
 
 
 def make_config(**over):
@@ -58,6 +59,14 @@ def tiled_config(ref: ScenarioConfig, M: int, N: int, K: int):
         Eu_0=ref.Eu_0[users], **first_hop, **second_hop)
 
 
+def per_user_tables(coeffs, M, N):
+    """Plain relaying's tables: user i's is the A+B table of the one-user
+    network of user i and its relays (relay_assignment)."""
+    return [build_outage_tables(coeffs, M, N, parts=("AB",),
+                                group=([i], relays))[0]
+            for i, relays in enumerate(relay_assignment(M, N))]
+
+
 # ---------------------------------------------------------------------------
 # solver coordinates
 
@@ -103,6 +112,16 @@ def per_link_outage_approx(p, c, m):
     if np.any(p <= 0.0):
         raise ValueError("transmit power must be > 0")
     return c * p ** (-m)
+
+
+def per_user_outage_product(pe_user, pe_relay, groups):
+    """Exact per-user outage of plain relaying, shape (M, K): user i's
+    message is lost iff each relay j of groups[i] fails to decode it
+    (pe_user[i, j]) or decodes and fails to forward (pe_relay[j]), the
+    product over its relays of pe_u + (1 - pe_u) * pe_r."""
+    return np.array([np.prod(pe_user[i, relays] + (1.0 - pe_user[i, relays])
+                             * pe_relay[relays], axis=0)
+                     for i, relays in enumerate(groups)])
 
 
 # ---------------------------------------------------------------------------

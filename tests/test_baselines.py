@@ -1,17 +1,23 @@
 """Baseline policies: reference constructions and the grid-search oracle."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import solver_toy
+from helpers import (
+    per_user_outage_product,
+    per_user_tables,
+    solver_toy,
+    tiled_config,
+)
+from eecoop import outage
 from eecoop.baselines import (
-    BASELINE_KINDS,
     GridSpec,
-    as_evaluation,
     brute_force_optimize,
     depleted_energy_policy,
     grid_dimension_guard,
@@ -27,11 +33,16 @@ from eecoop.model import (
     Policy,
     compute_link_coefficients,
     energy_ledger,
+    link_b_factors,
+    load_scenario,
     total_energy,
     validate_policy,
 )
-from eecoop.outage import build_per_user_tables, network_outage_report
+from eecoop.outage import build_outage_tables, network_outage_report
 from eecoop.solver import dinkelbach_optimize
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "reference_m2n4.json"
 
 
 def nonc_enumeration_oracle(pe_u_row, pe_r, assigned):
@@ -79,7 +90,8 @@ class TestPerUserTables:
     def test_single_link_pair(self):
         cfg = solver_toy(M=1, N=1, K=1)
         coeffs = compute_link_coefficients(cfg)
-        (table,) = build_per_user_tables(coeffs, relay_assignment(1, 1))
+        (table,) = build_outage_tables(coeffs, 1, 1, parts=("AB",),
+                                       group=([0], [0]))
         # c_u * p**-m + c_r * q**-m: two monomials
         assert table.n_terms == 2
         x = np.log([2.0, 3.0])
@@ -95,7 +107,7 @@ class TestPerUserTables:
         cfg = replace(cfg, d_h=cfg.d_h * np.linspace(0.8, 1.3, 8).reshape(2, 4),
                       d_g=cfg.d_g * np.array([0.9, 1.0, 1.1, 1.2]))
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
+        tables = per_user_tables(coeffs, 2, 4)
         assert len(tables) == 2
         assert tables[0].n_terms == 4
         rng = np.random.default_rng(0)
@@ -108,7 +120,7 @@ class TestPerUserTables:
     def test_tables_only_touch_own_dimensions(self):
         cfg = solver_toy(M=2, N=4, K=1)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
+        tables = per_user_tables(coeffs, 2, 4)
         # user 1's table must have zero exponent on user 0's power and on
         # relays 0, 2 (assigned to user 0)
         w = tables[1].w
@@ -145,10 +157,33 @@ class TestPerUserOutageExact:
                 * float(frac_r[j]) for j in groups[i]])
             assert abs(formula - float(oracle)) < 1e-12
 
+    def test_matches_product_formula(self):
+        """network_outage_exact with M = 1 per user equals the product over
+        its relays of pe_u + (1 - pe_u) * pe_r to 1e-14 relative, with
+        per-link outages from below 1e-13 up to about one half."""
+        M, N, K = 3, 7, 60
+        rng = np.random.default_rng(23)
+        cfg = replace(solver_toy(M=M, N=N, K=K),
+                      d_h=rng.uniform(3.0, 8.0, (M, N)),
+                      d_g=rng.uniform(3.0, 8.0, N))
+        f_u, f_r = link_b_factors(cfg)
+        # m = 1: a link's outage is about f / p, drawn down to 1e-14
+        policy = Policy(
+            p_u=f_u.max(axis=1)[:, None] / 10.0 ** rng.uniform(-14, 0, (M, K)),
+            p_r=f_r[:, None] / 10.0 ** rng.uniform(-14, 0, (N, K)),
+            transfers=np.zeros((K, M, M)))
+        rep = network_outage_report(cfg, policy, mode="exact")
+        assert rep.pe_user.min() < 1e-13 and rep.pe_relay.min() < 1e-13
+        assert rep.pe_user.max() > 0.3 and rep.pe_relay.max() > 0.3
+        expect = per_user_outage_product(rep.pe_user, rep.pe_relay,
+                                         relay_assignment(M, N))
+        np.testing.assert_allclose(per_user_outage_exact(cfg, policy),
+                                   expect, rtol=1e-14, atol=0.0)
+
     def test_approx_upper_bounds_exact(self):
         cfg = solver_toy(M=2, N=4, K=2, seed=9)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
+        tables = per_user_tables(coeffs, 2, 4)
         rng = np.random.default_rng(1)
         policy = Policy(p_u=rng.uniform(2.0, 15.0, (2, 2)),
                         p_r=rng.uniform(2.0, 15.0, (4, 2)),
@@ -162,7 +197,7 @@ class TestPerUserOutageExact:
     def test_approx_tight_at_high_power(self):
         cfg = solver_toy(M=2, N=4, K=1, d=3.0)
         coeffs = compute_link_coefficients(cfg)
-        tables = build_per_user_tables(coeffs, relay_assignment(2, 4))
+        tables = per_user_tables(coeffs, 2, 4)
         policy = Policy(p_u=np.full((2, 1), 15.0), p_r=np.full((4, 1), 15.0),
                         transfers=np.zeros((1, 2, 2)))
         exact = per_user_outage_exact(cfg, policy)
@@ -206,17 +241,41 @@ class TestNoncDf:
         assert nc.feasible and nonc.feasible
         assert nc.ee_exact > 1.10 * nonc.ee_exact
 
-    def test_as_evaluation_mapping(self):
-        cfg = solver_toy(M=2, N=4, K=1, pr_out_0=1e-3, arrival_lo=2.0,
-                         arrival_hi=7.0)
-        res = nonc_df_policy(cfg)
-        ev = as_evaluation("nonc_df", res)
-        assert ev.method == "nonc_df"
-        assert ev.status == "ok"
-        assert ev.feasible
-        assert ev.ee == res.ee_exact
-        assert ev.pr_out.shape == (2, 1)
-        assert "nonc_df" in BASELINE_KINDS
+    @pytest.mark.parametrize("N", [2, 4, 14])
+    def test_one_user_is_the_coded_network(self, N):
+        """With one user, plain relaying is the network-coded protocol:
+        the same table and the same exact outage, so the same iterate path,
+        policy and exact efficiency, bit for bit.  At N = 14 the table's
+        16,384 terms take the recursion."""
+        cfg = tiled_config(load_scenario(REFERENCE), 1, N, 3)
+        nonc, coded = nonc_df_policy(cfg), dinkelbach_optimize(cfg)
+        assert nonc.status == coded.status == "converged"
+        for name in ("newton_iters_total", "phase1_newton_iters", "trace",
+                     "q_star", "ee_exact", "e_tot"):
+            assert getattr(nonc, name) == getattr(coded, name), name
+        for name in ("p_u", "p_r", "transfers"):
+            assert np.array_equal(getattr(nonc.policy, name),
+                                  getattr(coded.policy, name)), name
+        assert np.array_equal(nonc.outage_exact.pr_out[0],
+                              coded.outage_exact.pr_out)
+
+    def test_large_groups_take_the_recursion(self, monkeypatch):
+        """Tiled to (2, 24), each user has 12 relays and a 4,096-term
+        table, above RECURSION_MIN_TERMS: it is the recursion, and the
+        solve matches the solve on the expanded tables."""
+        cfg = tiled_config(load_scenario(REFERENCE), 2, 24, 3)
+        tables = per_user_tables(compute_link_coefficients(cfg), 2, 24)
+        assert [t.n_terms for t in tables] == [4096, 4096]
+        assert all(t.recursion is not None for t in tables)
+        by_recursion = nonc_df_policy(cfg)
+        monkeypatch.setattr(outage, "RECURSION_MIN_TERMS", math.inf)
+        by_terms = nonc_df_policy(cfg)
+        assert by_recursion.status == by_terms.status == "converged"
+        assert by_recursion.newton_iters_total == by_terms.newton_iters_total
+        assert by_recursion.q_star == pytest.approx(by_terms.q_star,
+                                                    rel=1e-9)
+        assert by_recursion.ee_exact == pytest.approx(by_terms.ee_exact,
+                                                      rel=1e-9)
 
 
 class TestNoTransfer:

@@ -188,7 +188,7 @@ class TestSimulatePeriod:
         rep = network_outage_report(cfg, pol, mode="exact")
         res = estimate_outage(cfg, pol, 1_000_000, RngSpec(seed=7))
         rate = res.decode_count[0] / res.trials
-        rho = rep.rho[:, 0]
+        rho = np.prod(1.0 - rep.pe_user[:, :, 0], axis=0)
         sigma = np.sqrt(rho * (1 - rho) / res.trials)
         assert np.all(np.abs(rate - rho) <= 3 * sigma)
 

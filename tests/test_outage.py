@@ -21,7 +21,6 @@ from eecoop.outage import (
     MonomialTable,
     _term_count,
     build_outage_tables,
-    build_per_user_tables,
     network_outage_approx,
     network_outage_exact,
     network_outage_report,
@@ -35,6 +34,7 @@ from helpers import (
     expanded_per_user_tables,
     make_config,
     per_link_outage_approx,
+    per_user_tables,
     tiled_config,
 )
 
@@ -373,6 +373,13 @@ class TestRecursionTables:
             assert np.array_equal(g.w, e.w)
             np.testing.assert_allclose(g.coef, e.coef, rtol=1e-13, atol=0.0)
 
+    @staticmethod
+    def sorted_rows(tables):
+        """The tables with their rows in lexicographic order of w."""
+        orders = [np.lexsort(t.w.T[::-1]) for t in tables]
+        return [MonomialTable(coef=t.coef[o], w=t.w[o], M=t.M, N=t.N, m=t.m)
+                for t, o in zip(tables, orders)]
+
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("M,N", [(1, 1), (1, 3), (2, 1), (3, 2), (2, 2),
                                      (2, 4), (3, 3), (3, 5)])
@@ -389,10 +396,11 @@ class TestRecursionTables:
             assert tB.w.shape == (0, M + N)
             assert np.any(np.all(tA.w == 0.0, axis=1))
         else:
+            # a user's rows come A's first, then B's: compared sorted
             self.assert_tables_match(
-                outage.build_per_user_tables(coeffs, relay_assignment(M, N)),
-                expanded_per_user_tables(coeffs, relay_assignment(M, N),
-                                         M, N))
+                self.sorted_rows(per_user_tables(coeffs, M, N)),
+                self.sorted_rows(expanded_per_user_tables(
+                    coeffs, relay_assignment(M, N), M, N)))
 
     @staticmethod
     def wide_coeffs(M, N):
@@ -502,7 +510,8 @@ class TestRecursionEvaluator:
         """The reference's 64-term table is built as terms; at the
         wide-network geometry part A's 109 terms are expanded, while part
         B's 7,299 and the A+B table's 7,408 are built as the recursion.
-        The per-user tables are always terms."""
+        Plain relaying's per-user tables there, of 8, 8 and 4 terms, are
+        expanded."""
         ref = compute_link_coefficients(load_scenario(REFERENCE))
         wide = TestRecursionTables.wide_coeffs(3, 8)
         small = self.event_tables(ref, 2, 4)
@@ -514,9 +523,9 @@ class TestRecursionEvaluator:
         assert large["A"].recursion is None
         assert large["B"].recursion.events == ("B",)
         assert large["A+B"].recursion.events == ("A", "B")
-        assert all(t.recursion is None
-                   for t in outage.build_per_user_tables(
-                       wide, relay_assignment(3, 8)))
+        per_user = per_user_tables(wide, 3, 8)
+        assert [t.n_terms for t in per_user] == [8, 8, 4]
+        assert all(t.recursion is None for t in per_user)
 
     def test_solver_table_expands_no_unused_part(self, monkeypatch):
         """outage_tables gives the solver one table of parts A and B: at
@@ -663,7 +672,7 @@ class TestTablesBoundExact:
         for tables in (coded, part_a):
             assert tables[0].recursion is not None
             assert tables[1].recursion is None
-        per_user = build_per_user_tables(coeffs, relay_assignment(M, N))
+        per_user = per_user_tables(coeffs, M, N)
         rng = np.random.default_rng([16, int(100 * m)])
         for _ in range(300):
             x = rng.uniform(-6.0, 3.0, size=(M + N, K))

@@ -13,7 +13,6 @@ from eecoop.baselines import (
     depleted_energy_policy,
     no_transfer_policy,
     nonc_df_policy,
-    relay_assignment,
 )
 from eecoop.model import (
     OUTAGE_AUDIT_RTOL,
@@ -25,11 +24,7 @@ from eecoop.model import (
     validate_policy,
     zero_policy,
 )
-from eecoop.outage import (
-    build_per_user_tables,
-    network_outage_exact,
-    network_outage_report,
-)
+from eecoop.outage import network_outage_exact, network_outage_report
 from eecoop.solver import (
     EEProblem,
     InfeasibleError,
@@ -42,6 +37,7 @@ from eecoop.solver import (
 from helpers import (
     inverse_transform_policy,
     make_config,
+    per_user_tables,
     soft_values_scaled,
     solver_toy,
     tiled_config,
@@ -534,8 +530,8 @@ class TestBarrierAssembly:
         coeffs = compute_link_coefficients(cfg)
         kw = self.VARIANTS[variant]
         if kw == "per_user_tables":
-            kw = {"tables_weights": (build_per_user_tables(
-                coeffs, relay_assignment(cfg.M, cfg.N)), [1.0] * cfg.M)}
+            kw = {"tables_weights": (per_user_tables(coeffs, cfg.M, cfg.N),
+                                     [1.0] * cfg.M)}
         return EEProblem(cfg, coeffs, **kw)
 
     @staticmethod
@@ -696,9 +692,9 @@ class TestBarrierAssembly:
 
 
 class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
-    """The same checks with every network-coded outage table built as the
-    relay recursion instead of terms (the per-user tables of the nonc_df
-    variant are always terms)."""
+    """The same checks with every outage table built as the relay
+    recursion instead of terms, the nonc_df variant's per-user tables
+    too."""
 
     @pytest.fixture(autouse=True)
     def recursion_everywhere(self, monkeypatch):
@@ -706,9 +702,7 @@ class TestBarrierAssemblyByRecursion(TestBarrierAssembly):
 
     def problem(self, cfg, variant):
         prob = super().problem(cfg, variant)
-        by_recursion = [t.recursion is not None for t in prob.tables]
-        assert all(by_recursion) == (variant != "nonc_df")
-        assert any(by_recursion) == (variant != "nonc_df")
+        assert all(t.recursion is not None for t in prob.tables)
         return prob
 
 
