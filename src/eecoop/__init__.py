@@ -36,7 +36,6 @@ from .solver import (
     inner_solve,
 )
 from .baselines import (
-    BASELINE_KINDS,
     PolicyEvaluation,
     BruteForceResult,
     GridSpec,

@@ -33,9 +33,6 @@ from .outage import (
 )
 from .solver import SolveResult, dinkelbach_optimize
 
-BASELINE_KINDS = ("depleted_energy", "no_transfer", "uniform_power",
-                  "nonc_df")
-
 # grid-oracle cells evaluated at once (a block of first-axis rows)
 _MESH_SLICE_CELLS = 1 << 16
 

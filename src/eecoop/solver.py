@@ -14,7 +14,13 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
 is convex and solved with a log-barrier interior-point method using damped
 Newton steps and a dense Cholesky factorization.  A barrier stage ends when
 the Newton decrement is small or when the line search's Armijo margin is
-below what the barrier value can resolve.  Phase 1 and the first inner
+below what the barrier value can resolve.  Only a stage whose duality gap
+is read is centred tightly (NEWTON_TOL): the last stage of an inner solve
+and a phase-1 stage that issues a certificate.  Every other stage only
+has to bring the next one's start near the central path, so it stops at
+STAGE_TOL (Boyd & Vandenberghe, Sec. 11.3.1: computing x*(t) exactly at
+intermediate t is not necessary), and phase 1 returns at its first iterate
+that clears the feasibility margin.  Phase 1 and the first inner
 solve start their barrier paths at t = T0 = 100, where the duality-gap
 estimate (constraint count / t) first says something, from a start whose
 transfers sit at 1% of the energy cap, near their centre: a full Newton
@@ -67,7 +73,8 @@ F_RESOLUTION = 64.0 * np.finfo(float).eps
 MAX_OUTER = 50          # Dinkelbach iterations
 KKT_TOL = 1e-6          # duality-gap target of the barrier method
 BARRIER_MU = 10.0       # barrier parameter growth factor
-NEWTON_TOL = 1e-9       # half squared Newton decrement per stage
+NEWTON_TOL = 1e-9       # half squared Newton decrement, certifying stages
+STAGE_TOL = 0.25        # half squared Newton decrement, other stages
 MAX_NEWTON = 80         # Newton iterations per barrier stage
 T0 = 100.0              # initial barrier parameter, phase 1 included
 PHASE1_MARGIN = 1e-3    # scaled strict-feasibility margin
@@ -631,7 +638,7 @@ def _solve_newton_system(H, g):
     raise RuntimeError("Newton system could not be factorized")
 
 
-def _damped_newton(z, fgh, value, tol, max_iter):
+def _damped_newton(z, fgh, value, tol, max_iter, stop=None):
     """Backtracking Newton on a barrier objective.
 
     A stage converges when half the squared Newton decrement lambda^2 is
@@ -639,9 +646,11 @@ def _damped_newton(z, fgh, value, tol, max_iter):
     is at most F_RESOLUTION * |f|: below that the line search would only
     compare f's rounding errors (at t = 1e9 the barrier is about 1e9 and
     its last bits decide).  value(z) must round exactly like fgh(z)[0].
-    Returns (z, iters, converged); converged is False on a stall (line
-    search exhausted or iteration cap), so callers can tell a minimizer
-    from a stall.
+    When stop is given, the stage ends at the first accepted iterate z
+    with stop(z) true, before fgh is evaluated there.  Returns (z, iters,
+    converged); converged is False on a stall (line search exhausted or
+    iteration cap) and on a stop, so callers can tell a minimizer from a
+    stall.
     """
     f, g, H = fgh(z)
     if not np.isfinite(f):
@@ -671,8 +680,10 @@ def _damped_newton(z, fgh, value, tol, max_iter):
         if not accepted:
             break
         z = zt
-        f, g, H = fgh(z)
         iters += 1
+        if stop is not None and stop(z):
+            break
+        f, g, H = fgh(z)
     return z, iters, converged
 
 
@@ -691,13 +702,16 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     z0 must be strictly feasible.  The path starts at barrier parameter t0
     and grows it by BARRIER_MU until the duality-gap estimate (constraint
     count / barrier parameter) is at or below KKT_TOL; it returns the
-    centred point of that last stage: from T0 = 100, eight stages to
-    t = 1e9 on the bundled network.  Below T0 the estimate (about
+    point of that last stage, centred to NEWTON_TOL, whose gap the
+    estimate reports.  The stages before it are centred only to
+    STAGE_TOL: each just starts the next one near the central path.
+    From T0 = 100 the path takes eight stages to t = 1e9 on the bundled
+    network, seven of them loose.  Below T0 the estimate (about
     150-190 / t on the bundled and the (3, 8) benchmark networks) says
     nothing, and stages there would only walk toward the centre.  A
     start at the optimum of a nearby problem can pass that solve's
-    t_final: its one stage then re-centres in place instead of walking
-    back to the centre of t = T0.
+    t_final: its one stage, the last and tight one, then re-centres in
+    place instead of walking back to the centre of t = T0.
     """
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
@@ -705,13 +719,14 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     t = t0
     total = 0
     while True:
+        last = problem.n_con / t <= KKT_TOL
         z, it, _conv = _damped_newton(
             z,
             lambda zz: problem.barrier_fgh(zz, q, t),
             lambda zz: problem.barrier_value(zz, q, t),
-            NEWTON_TOL, MAX_NEWTON)
+            NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON)
         total += it
-        if problem.n_con / t <= KKT_TOL:
+        if last:
             break
         t *= BARRIER_MU
     return InnerResult(z=z, v_prime_norm=problem.objective.fgh(
@@ -723,9 +738,12 @@ def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
     """Find a strictly feasible point or certify infeasibility.
 
     Minimizes a shared scaled slack s over the soft constraints g <= s*sigma
-    while keeping hard bounds exact.  Succeeds once s drops below the
-    margin; declares infeasibility once the duality gap proves s* > 0.
-    The barrier path starts at t = T0, like the first inner solve's.
+    while keeping hard bounds exact.  Succeeds at the first Newton iterate
+    whose s is below -PHASE1_MARGIN; declares infeasibility once the
+    duality gap proves s* > 0.  The barrier path starts at t = T0, like
+    the first inner solve's.  Its stages are centred to STAGE_TOL; a
+    stage that would issue a certificate is centred again to NEWTON_TOL
+    at the same t, and the certificate is read at that point.
     Returns (z, Newton iterations); the InfeasibleError carries its
     iterations too.
     """
@@ -759,25 +777,29 @@ def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
     total = 0
     any_converged = False
     for _stage in range(24):
-        zs, it, conv = _damped_newton(
-            zs,
-            lambda zz: problem.soft_barrier_fgh(zz, t, sig),
-            lambda zz: problem.soft_barrier_value(zz, t, sig),
-            NEWTON_TOL, MAX_NEWTON)
-        total += it
-        any_converged = any_converged or conv
-        s = zs[-1]
-        if s < -PHASE1_MARGIN:
-            return zs[:-1], total
-        # the duality gap bounds the optimal slack: s* >= s - n/t, but
-        # only at a converged central-path point; a stalled Newton
-        # leaves s stale
-        if conv and s - n_ph1 / t > 0.0:
+        for tol in (STAGE_TOL, NEWTON_TOL):
+            zs, it, conv = _damped_newton(
+                zs,
+                lambda zz: problem.soft_barrier_fgh(zz, t, sig),
+                lambda zz: problem.soft_barrier_value(zz, t, sig),
+                tol, MAX_NEWTON, stop=lambda zz: zz[-1] < -PHASE1_MARGIN)
+            total += it
+            any_converged = any_converged or conv
+            s = zs[-1]
+            # the duality gap bounds the optimal slack, s* >= s - n/t, but
+            # only at a converged central-path point (a stalled Newton
+            # leaves s stale), so a loose stage that would certify is
+            # centred again to NEWTON_TOL at this t, and that point decides
+            infeasible = conv and s - n_ph1 / t > 0.0
+            interior = conv and s < 0.0 and s - n_ph1 / t > -PHASE1_MARGIN
+            if not (infeasible or interior):
+                break
+        if infeasible:
             break
-        if conv and s < 0.0 and s - n_ph1 / t > -PHASE1_MARGIN:
-            # strictly feasible, and provably no point clears the full
-            # margin; pushing t further only drives the active slacks
-            # below floating-point resolution, so accept this interior
+        if s < -PHASE1_MARGIN or interior:
+            # interior: strictly feasible, and provably no point clears
+            # the full margin; pushing t further only drives the active
+            # slacks below floating-point resolution
             return zs[:-1], total
         t *= BARRIER_MU
     if not any_converged:

@@ -29,6 +29,7 @@ from eecoop.outage import (
     relay_miss_prob,
     relay_recursion,
 )
+from eecoop.solver import dinkelbach_optimize
 from helpers import (
     expanded_outage_tables,
     expanded_per_user_tables,
@@ -155,6 +156,32 @@ class TestPerLinkOutage:
             gap = 2.0 ** 0.8 - 1.0
             b = gap * n0 * 1.25e5 * d ** 3 / p
             assert got == pytest.approx(-math.expm1(-b), rel=1e-12)
+
+    @pytest.fixture(scope="class")
+    def reference_optimum(self):
+        cfg = load_scenario(REFERENCE)
+        return cfg, dinkelbach_optimize(cfg).policy
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_report_matches_scalar_link_by_link(self, reference_optimum, m):
+        """The exact report's per-link outage, which it forms from
+        link_b_factors, equals the scalar formula on every link of the
+        reference's optimized policy."""
+        cfg, pol = reference_optimum
+        cfg = cfg.replace(m=m)
+        rep = network_outage_report(cfg, pol, mode="exact")
+        for i, j, k in product(range(cfg.M), range(cfg.N), range(cfg.K)):
+            want = per_link_outage_exact(
+                pol.p_u[i, k], m=m, alpha0=cfg.alpha0, B=cfg.B,
+                N0=cfg.N0_h[i, j], d=cfg.d_h[i, j], beta=cfg.beta_h[i, j],
+                omega=cfg.omega_h[i, j])
+            assert rep.pe_user[i, j, k] == pytest.approx(want, rel=1e-12)
+        for j, k in product(range(cfg.N), range(cfg.K)):
+            want = per_link_outage_exact(
+                pol.p_r[j, k], m=m, alpha0=cfg.alpha0, B=cfg.B,
+                N0=cfg.N0_g[j], d=cfg.d_g[j], beta=cfg.beta_g[j],
+                omega=cfg.omega_g[j])
+            assert rep.pe_relay[j, k] == pytest.approx(want, rel=1e-12)
 
     def test_approx_formula_and_bound(self):
         """The monomial equals c * p**-m and always sits above the exact

@@ -260,6 +260,128 @@ class TestInnerSolve:
         assert warm.newton_iters < cold.newton_iters
 
 
+class TestCentring:
+    """Only a stage whose duality gap is read is centred to NEWTON_TOL:
+    the last stage of an inner solve, and a phase-1 stage that issues a
+    certificate.  Every other stage stops at STAGE_TOL, and phase 1
+    returns at its first iterate that clears PHASE1_MARGIN."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every _damped_newton call as (tol, slacks its stop predicate
+        saw, iterations, returned point), after the name of the solver
+        routine that made it: "phase1" or "inner_solve"."""
+        calls = []
+        damped_newton = solver_mod._damped_newton
+
+        def recording(z, fgh, value, tol, max_iter, stop=None):
+            seen = []
+
+            def watch(zz):
+                seen.append(float(zz[-1]))
+                return stop(zz)
+
+            out = damped_newton(z, fgh, value, tol, max_iter,
+                                stop and watch)
+            calls.append((tol, seen, out[1], out[0]))
+            return out
+
+        def marked(name):
+            routine = getattr(solver_mod, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+            monkeypatch.setattr(solver_mod, name, run)
+
+        monkeypatch.setattr(solver_mod, "_damped_newton", recording)
+        marked("phase1")
+        marked("inner_solve")
+        return calls
+
+    @staticmethod
+    def runs(calls):
+        """[(routine name, [its calls])] in call order."""
+        out = []
+        for c in calls:
+            if isinstance(c, str):
+                out.append((c, []))
+            else:
+                out[-1][1].append(c)
+        return out
+
+    @classmethod
+    def certificate_slack(cls, calls):
+        """The slack phase 1 certified at, after checking that only its
+        last stage was centred to NEWTON_TOL."""
+        (_, stages), = cls.runs(calls)
+        assert [c[0] for c in stages] == \
+            [solver_mod.STAGE_TOL] * (len(stages) - 1) \
+            + [solver_mod.NEWTON_TOL]
+        return stages[-1][3][-1]
+
+    @pytest.mark.parametrize("solve", [
+        dinkelbach_optimize, depleted_energy_policy, nonc_df_policy,
+        no_transfer_policy])
+    def test_inner_solves_centre_their_last_stage_tightly(self, calls,
+                                                          solve):
+        res = solve(load_scenario(REFERENCE))
+        assert res.status == "converged"
+        runs = self.runs(calls)
+        assert [name for name, _ in runs] == \
+            ["phase1"] + ["inner_solve"] * len(res.trace)
+        tols = [[c[0] for c in stages] for _, stages in runs]
+        # feasible: no certificate, so phase 1 never centres tightly
+        assert set(tols[0]) == {solver_mod.STAGE_TOL}
+        first = tols[1]
+        assert len(first) > 1
+        assert first == [solver_mod.STAGE_TOL] * (len(first) - 1) \
+            + [solver_mod.NEWTON_TOL]
+        # each warm-started solve is its last stage alone
+        assert all(t == [solver_mod.NEWTON_TOL] for t in tols[2:])
+
+    @pytest.mark.parametrize("cfg", [
+        solver_toy(pr_out_0=1e-12),
+        solver_toy().replace(d_h=np.full((2, 2), 10.0), d_g=np.full(2, 10.0),
+                             arrivals=np.full((2, 2), 0.4))],
+        ids=["outage", "energy_starved"])
+    def test_infeasibility_certified_after_a_tight_stage(self, calls, cfg):
+        with pytest.raises(InfeasibleError):
+            solver_mod.phase1(EEProblem(cfg, compute_link_coefficients(cfg)))
+        assert self.certificate_slack(calls) > 0.0
+
+    def test_interior_certified_after_a_tight_stage(self, calls):
+        """Energy to spare and an outage target 0.05% above the least
+        outage inside the power box: the optimal scaled slack is about
+        -4e-4, so phase 1 certifies that no point clears the margin."""
+        cfg = solver_toy(arrival_lo=50.0, arrival_hi=50.0)
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
+        full_power = np.full(cfg.M + cfg.N, math.log(cfg.p_max))
+        least = max(float(tb.value(full_power)) for tb in prob.tables)
+        cfg = cfg.replace(pr_out_0=least / (1.0 - 5e-4))
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
+        z, _ = solver_mod.phase1(prob)
+        assert prob.strictly_feasible(z)
+        s = self.certificate_slack(calls)
+        assert -solver_mod.PHASE1_MARGIN < s < 0.0
+
+    @pytest.mark.parametrize("changes", [{}, {"pr_out_0": 1e-3, "m": 0.5,
+                                               "eta": 1.0}])
+    def test_phase1_returns_first_iterate_clearing_margin(self, calls,
+                                                          changes):
+        """The reference takes two phase-1 stages, the variant three."""
+        cfg = load_scenario(REFERENCE).replace(**changes)
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
+        z, _ = solver_mod.phase1(prob)
+        (_, stages), = self.runs(calls)
+        # the stop predicate saw every iterate of every stage
+        assert all(len(seen) == iters for _, seen, iters, _ in stages)
+        slacks = [s for _, seen, _, _ in stages for s in seen]
+        assert slacks[-1] < -solver_mod.PHASE1_MARGIN
+        assert all(s >= -solver_mod.PHASE1_MARGIN for s in slacks[:-1])
+        np.testing.assert_array_equal(z, stages[-1][3][:-1])
+
+
 class TestDinkelbach:
     def test_converges_on_toy(self):
         cfg = solver_toy()
@@ -736,21 +858,24 @@ class TestReferencePin:
     stages are no longer settled by last-bit rounding.  Phase 1 and the
     first inner solve start their barrier paths at T0 = 100, and the
     second inner solve resumes at the first one's final barrier parameter.
-    These counts were the same with OpenBLAS SkylakeX and Haswell kernels,
-    with one BLAS thread, and with the causality rows' exponential terms
-    and the log barrier sums reversed (Python 3.11, NumPy 2.4.6, SciPy
-    1.17.1).  A change to the counts is a change to the iterate path:
-    re-record them in that change and say why.
+    Only the stages whose duality gap is read are centred to NEWTON_TOL:
+    the other stages stop at STAGE_TOL, and phase 1 returns at its first
+    iterate that clears the margin.  These counts were the same with
+    OpenBLAS SkylakeX and Haswell kernels, with one BLAS thread, and with
+    the causality rows' exponential terms and the log barrier sums
+    reversed (Python 3.11, NumPy 2.4.6, SciPy 1.17.1).  A change to the
+    counts is a change to the iterate path: re-record them in that change
+    and say why.
     """
 
     PINS = {
-        "optimized": (dinkelbach_optimize, 55, 17, 2, 119375.69334521322,
+        "optimized": (dinkelbach_optimize, 37, 7, 2, 119375.69334521322,
                       119379.7947315367, 1e-4),
-        "depleted_energy": (depleted_energy_policy, 43, 10, 2,
+        "depleted_energy": (depleted_energy_policy, 28, 2, 2,
                             52519.45986947246, 52521.98649519647, 1e-4),
-        "nonc_df": (nonc_df_policy, 56, 18, 2, 29138.931256132604,
+        "nonc_df": (nonc_df_policy, 37, 8, 2, 29138.931256132604,
                     29139.0477202311, 1e-4),
-        "no_transfer": (no_transfer_policy, 48, 14, 2, 119375.69573272503,
+        "no_transfer": (no_transfer_policy, 31, 6, 2, 119375.69573272503,
                         119379.79473153682, 1e-4),
     }
 
