@@ -22,14 +22,15 @@ term count (_term_count).  A table of at most RECURSION_MIN_TERMS terms is
 expanded and evaluated term by term, at O(terms) per period.  A larger one
 is never expanded: OutageRecursion runs the relay recursion on float
 weights instead, O(N M^2) per period at any table size, after a fixed cost
-of about 0.15 ms per call.  Per call at K = 4 periods, terms vs recursion
-(best of 25 interleaved rounds, 2 vCPUs, NumPy 2.4.6):
+of about 0.1 ms per call.  Per call at K = 4 periods, terms vs recursion
+(best of 25 interleaved rounds, 2 vCPUs, NumPy 2.4.6, every period's term
+Hessians in one stacked product):
 
   (M, N)   terms   value/grad/Hessian     value
-  (2, 4)      64    0.03 vs 0.14 ms   0.009 vs 0.039 ms
-  (4, 6)   1,021    0.15 vs 0.17 ms   0.028 vs 0.048 ms
-  (2, 8)   2,240    0.31 vs 0.16 ms   0.051 vs 0.042 ms
-  (3, 8)   7,408    1.52 vs 0.30 ms   0.22  vs 0.056 ms
+  (2, 4)      64    0.02 vs 0.11 ms   0.009 vs 0.034 ms
+  (4, 6)   1,021    0.14 vs 0.18 ms   0.029 vs 0.049 ms
+  (2, 8)   2,240    0.29 vs 0.17 ms   0.055 vs 0.047 ms
+  (3, 8)   7,408    1.17 vs 0.19 ms   0.17  vs 0.054 ms
 
 A table may cover a sub-network only, a group of users and the relays that
 serve them.  Plain decode-and-forward relaying is such a table: user i and
@@ -50,10 +51,10 @@ from scipy.special import gammainc
 from .model import LinkCoefficients, Policy, ScenarioConfig, link_b_factors
 
 # Tables with more terms than this are never expanded and evaluate by
-# OutageRecursion, smaller ones term by term.  A Newton step
-# (one value/gradient/Hessian call and about 1.6 value calls) crosses
-# between 1,021 and 2,240 terms at K = 4 periods, near 1,000 at K = 10 and
-# near 5,000 at K = 1.
+# OutageRecursion, smaller ones term by term.  A line-search trial is one
+# value/gradient/Hessian call, whose cost crosses between 1,021 and 2,240
+# terms at K = 4 periods, near 1,000 at K = 10 and between 2,704 and
+# 3,831 at K = 1.
 RECURSION_MIN_TERMS = 2000
 
 
@@ -370,9 +371,10 @@ class MonomialTable:
         with np.errstate(over="ignore"):
             t = self.coef * np.exp(self._exponents(x))
         grad = np.matmul(self.w.T, t[..., None])[..., 0]
-        # period by period: a (K, S, M+N) temporary would grow with K
-        hess = np.array([self.w.T @ (t_k[:, None] * self.w)
-                         for t_k in np.atleast_2d(t)])
+        # every period in one stacked product; its (K, M+N, S) temporary
+        # is bounded, since a table expands to at most RECURSION_MIN_TERMS
+        # terms
+        hess = (self.w.T * np.atleast_2d(t)[:, None, :]) @ self.w
         if t.ndim == 1:
             return float(t.sum()), grad, hess[0]
         return t.sum(axis=-1), grad.T, hess

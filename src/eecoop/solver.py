@@ -12,35 +12,39 @@ parametric (Dinkelbach) iteration on q = bits / joule; each inner problem
               approximate outage <= target per period
 
 is convex and solved with a log-barrier interior-point method using damped
-Newton steps and a dense Cholesky factorization.  A barrier stage ends when
-the Newton decrement is small or when the line search's Armijo margin is
-below what the barrier value can resolve.  Only a stage whose duality gap
-is read is centred tightly (NEWTON_TOL): the last stage of an inner solve
-and a phase-1 stage that issues a certificate.  Every other stage only
-has to bring the next one's start near the central path, so it stops at
-STAGE_TOL (Boyd & Vandenberghe, Sec. 11.3.1: computing x*(t) exactly at
-intermediate t is not necessary), and phase 1 returns at its first iterate
-that clears the feasibility margin.  Phase 1 and the first inner
-solve start their barrier paths at t = T0 = 100, where the duality-gap
-estimate (constraint count / t) first says something, from a start whose
-transfers sit at 1% of the energy cap, near their centre: a full Newton
-step on -log z can at most double z, so a start far below the centre
-costs one step per doubling.  Each later inner solve starts from the
-previous solve's optimum at that solve's final t, so it re-centres at the
-last stage instead of walking back to the t = T0 centre (Boyd &
-Vandenberghe, Convex Optimization, Sec. 11.3, 11.3.1).
+Newton steps and a dense Cholesky factorization.  Each line-search trial
+is one barrier pass with derivatives, and an accepted trial's gradient and
+Hessian give the next Newton step, so no point is evaluated twice.  A
+barrier stage ends when the Newton decrement is small or when the line
+search's Armijo margin is below what the barrier value can resolve.  Only
+a stage whose duality gap is read is centred tightly (NEWTON_TOL): the
+last stage of an inner solve and a phase-1 stage that issues a
+certificate.  Every other stage only has to bring the next one's start
+near the central path, so it stops at STAGE_TOL (Boyd & Vandenberghe,
+Sec. 11.3.1: computing x*(t) exactly at intermediate t is not necessary),
+and phase 1 returns at its first iterate that clears the feasibility
+margin.  Phase 1 and the first inner solve start their barrier paths at
+t = T0 = 100, where the duality-gap estimate (constraint count / t) first
+says something, from a start whose transfers sit at 1% of the energy cap,
+near their centre: a full Newton step on -log z can at most double z, so a
+start far below the centre costs one step per doubling.  Each later inner
+solve starts from the previous solve's optimum at that solve's final t, so
+it re-centres at the last stage instead of walking back to the t = T0
+centre (Boyd & Vandenberghe, Convex Optimization, Sec. 9.5, 11.3, 11.3.1).
 Solutions are audited against the exact outage expression afterwards.
 
-Every barrier evaluation assembles all periods in one pass.  Each outage
+A barrier pass assembles all periods and all rows at once.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
-per-period values, gradients and (K, M+N, M+N) Hessians that the objective
-and the outage constraints share; each table's Hessians enter the Newton
-matrix in one block add over the periods' variable indices.  Causality
-rows are two dense matrices, one of exponential and one of linear
-coefficients, so their Hessian is one Jacobian product plus a diagonal.
-Each barrier form is one pass whose derivatives are optional, so
-barrier_value is barrier_fgh's value by construction, bit for bit, as the
-stage stop rule requires.
+per-period values, gradients and (K, M+N, M+N) Hessians.  The box rows are
+diagonal.  The causality rows (dense exponential and linear coefficient
+matrices) and the outage rows, with phase 1's slack column, form one
+Jacobian J of the soft rows, so their Hessian is one product
+(J/d)^T (J/d) plus the causality curvature on the diagonal; each period's
+table Hessians enter the Newton matrix in one scatter, weighted by the
+objective's and the outage rows' shares together.  The rows are checked
+box first, then causality, so a trial past either evaluates no table.
+The value takes the same operations with or without derivatives, so
+barrier_value is barrier_fgh's value bit for bit.
 """
 
 from __future__ import annotations
@@ -154,46 +158,34 @@ class Layout:
 # ---------------------------------------------------------------------------
 # constraint blocks
 #
-# Every inequality is written g(z) <= 0.  In phase 1 a block marked soft is
-# relaxed to g(z) <= s * sigma with a shared slack variable s appended to z;
-# the barrier denominator is then (s * sigma - g) instead of (-g).
-# Each block's barrier returns its value and, only when grad is given,
-# adds its derivatives to grad and H.
+# Every inequality is written g(z) <= 0.  In phase 1 a soft row (causality
+# or outage) is relaxed to g(z) <= s * sigma with a shared slack variable s
+# appended to z; the barrier denominator is then (s * sigma - g) instead of
+# (-g).  A block gives its row values; EEProblem._barrier assembles every
+# block's barrier terms in one pass.
 
 
-def _denom(g, soft):
-    if soft is None:
-        return -g
-    s_val, _s_idx, sigma = soft
-    return s_val * sigma - g
-
-
-def _log_barrier(d):
-    """-sum(log d), or INF when an entry is not positive."""
-    if not np.all(d > 0.0):
-        return INF
-    return -float(np.sum(np.log(d)))
+def _diagonal(H):
+    """The diagonal of the square C-contiguous H as a writable view."""
+    return H.reshape(-1)[::H.shape[0] + 1]
 
 
 class Bounds:
-    """Hard one-sided bounds sign * z[idx] - b <= 0 with diagonal barriers."""
+    """Box lo < z < hi on every coordinate, as an (upper, lower) row pair
+    z - hi <= 0, lo - z <= 0 each."""
 
-    def __init__(self, idx, sign, b):
-        self.idx = np.asarray(idx, dtype=int)
-        self.sign = np.asarray(sign, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.n = self.idx.size
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.n = 2 * self.lo.size
+
+    def margins(self, z):
+        """(coordinates, 2) barrier denominators hi - z and z - lo."""
+        x = z[:self.lo.size]
+        return np.column_stack([self.hi - x, x - self.lo])
 
     def values(self, z):
-        return self.sign * z[self.idx] - self.b
-
-    def barrier(self, z, grad=None, H=None):
-        denom = -self.values(z)
-        acc = _log_barrier(denom)
-        if grad is not None and np.isfinite(acc):
-            np.add.at(grad, self.idx, self.sign / denom)
-            np.add.at(H, (self.idx, self.idx), 1.0 / denom ** 2)
-        return acc
+        return -self.margins(z).ravel()
 
 
 class EnergyRows:
@@ -204,42 +196,21 @@ class EnergyRows:
     coordinate cannot meet a zero coefficient as inf * 0.
     """
 
-    soft_class = "causality"
-
     def __init__(self, C, A, rhs):
         self.C, self.A, self.rhs = C, A, rhs
         self.n, self.dim = A.shape
         self.exp_cols = np.flatnonzero(C.any(axis=0))
 
-    def _exp_terms(self, z):
-        """C * exp(z), entry by entry."""
+    def terms(self, z):
+        """(g, C * exp(z) entry by entry)."""
         e = np.zeros(self.dim)
         with np.errstate(over="ignore"):
             e[self.exp_cols] = np.exp(z[self.exp_cols])
-        return self.C * e
-
-    def _rows(self, z, E):
-        return E.sum(axis=1) + self.A @ z[:self.dim] - self.rhs
+        E = self.C * e
+        return E.sum(axis=1) + self.A @ z[:self.dim] - self.rhs, E
 
     def values(self, z):
-        return self._rows(z, self._exp_terms(z))
-
-    def barrier(self, z, grad=None, H=None, soft=None):
-        E = self._exp_terms(z)
-        d = _denom(self._rows(z, E), soft)
-        acc = _log_barrier(d)
-        if grad is None or not np.isfinite(acc):
-            return acc
-        # row Jacobians over z, the slack column last when soft
-        J = E + self.A
-        if soft is not None:
-            J = np.column_stack([J, np.full(self.n, -soft[2])])
-        J /= d[:, None]
-        grad += J.sum(axis=0)
-        H += J.T @ J
-        cols = self.exp_cols
-        H[cols, cols] += E[:, cols].T @ (1.0 / d)
-        return acc
+        return self.terms(z)[0]
 
 
 @dataclass
@@ -256,17 +227,17 @@ class TableEval:
     grads: np.ndarray = None         # (tables, K, V)
     hessians: np.ndarray = None      # (tables, K, V, V)
 
-    def add_hessian(self, H, blocks):
-        """H[idx[k], idx[k]] += blocks[k] for every period k at once; the
-        periods own disjoint variables."""
-        H[self.idx[:, :, None], self.idx[:, None, :]] += blocks
+    def add_hessians(self, H, weights):
+        """H[idx[k], idx[k]] += sum_t weights[t, k] * hessians[t, k] for
+        every period k in one scatter; the periods own disjoint
+        variables."""
+        H[self.idx[:, :, None], self.idx[:, None, :]] += (
+            weights[..., None, None] * self.hessians).sum(axis=0)
 
 
 class OutageCons:
     """Per-period outage constraints table(x_k) - thr <= 0, one row per
     (period, table), periods outermost."""
-
-    soft_class = "outage"
 
     def __init__(self, n, thr):
         self.n = n
@@ -274,27 +245,6 @@ class OutageCons:
 
     def values(self, ev):
         return (ev.values - self.thr).T.ravel()
-
-    def barrier(self, ev, grad=None, H=None, soft=None):
-        d = _denom(self.values(ev), soft)
-        acc = _log_barrier(d)
-        if grad is None or not np.isfinite(acc):
-            return acc
-        d = d.reshape(-1, len(ev.grads)).T                  # (tables, K)
-        for g_t, h_t, d_t in zip(ev.grads, ev.hessians, d):
-            grad[ev.idx] += g_t / d_t[:, None]
-            # outer(g, g) / d**2 + h / d per period
-            d3 = d_t[:, None, None]
-            ev.add_hessian(H, ((g_t[:, :, None] * g_t[:, None, :]) / d3
-                               + h_t) / d3)
-            if soft is not None:
-                cross = (g_t * -soft[2]) / (d_t ** 2)[:, None]
-                H[ev.idx, soft[1]] += cross
-                H[soft[1], ev.idx] += cross
-        if soft is not None:
-            grad[soft[1]] -= soft[2] * float(np.sum(1.0 / d))
-            H[soft[1], soft[1]] += soft[2] ** 2 * float(np.sum(d ** -2.0))
-        return acc
 
 
 class Objective:
@@ -331,25 +281,23 @@ class Objective:
         """(total energy in J, expected delivered bits) at z."""
         return self._energy(z)[0], self.scale - self._lost_bits(ev)
 
-    def fgh(self, z, q, ev, derivs=True):
-        """(value, gradient, Hessian) at z, or (value, None, None) without
-        derivs."""
+    def fgh(self, z, q, ev, grad=None, H=None, t=1.0, hess_w=0.0):
+        """t times the value at z.  With grad given, t times the gradient
+        is added to grad and t times the Hessian to H; each period's table
+        Hessians enter H in one scatter, weighted by t * table weight +
+        hess_w (tables, K), so the outage rows can share it."""
         energy, e = self._energy(z)
-        f = (self._lost_bits(ev) + q * energy) / self.scale
-        if not derivs:
-            return f, None, None
-        D = z.shape[0]
-        grad = np.zeros(D)
-        H = np.zeros((D, D))
-        if self.lin_cols.size:
-            np.add.at(grad, self.lin_cols, q * self.lin_vals / self.scale)
-        np.add.at(grad, self.exp_idx, q * e / self.scale)
-        np.add.at(H, (self.exp_idx, self.exp_idx), q * e / self.scale)
-        w = self.table_bits / self.scale
-        for w_t, g_t, h_t in zip(w, ev.grads, ev.hessians):
-            grad[ev.idx] += w_t * g_t
-            ev.add_hessian(H, w_t * h_t)
-        return f, grad, H
+        f = (self._lost_bits(ev) + q * energy) / self.scale * t
+        if grad is None:
+            return f
+        c = t * q / self.scale
+        grad[self.lin_cols] += c * self.lin_vals
+        grad[self.exp_idx] += c * e
+        _diagonal(H)[self.exp_idx] += c * e
+        w = t / self.scale * self.table_bits[:, None]      # (tables, 1)
+        grad[ev.idx] += (w[..., None] * ev.grads).sum(axis=0)
+        ev.add_hessians(H, w + hess_w)
+        return f
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +346,14 @@ class EEProblem:
         else:
             self.period_idx = np.vstack([lay.user_idx, lay.relay_idx]).T
 
-        # Bounds: an (upper, lower) row pair on every coordinate, log-power
-        # boxes first, then transfer boxes.
+        # Bounds: log-power boxes first, then transfer boxes.
         lo, hi = math.log(P_MIN), math.log(config.p_max)
         total_energy_cap = float(config.arrivals.sum() + config.Eu_0.sum())
         self.e_cap = max(total_energy_cap * 1.001, 1e-3)
-        n_transfer = lay.pair_mat.size
+        n_power = lay.dim - lay.pair_mat.size
         self.bounds = Bounds(
-            np.repeat(np.arange(lay.dim), 2), np.tile([1.0, -1.0], lay.dim),
-            np.concatenate([np.tile([hi, -lo], lay.dim - n_transfer),
-                            np.tile([self.e_cap, 0.0], n_transfer)]))
+            np.where(np.arange(lay.dim) < n_power, lo, 0.0),
+            np.where(np.arange(lay.dim) < n_power, hi, self.e_cap))
 
         # Outage constraints: every table of every period under pr_out_0.
         self.outage_cons = OutageCons(K * len(self.tables), config.pr_out_0)
@@ -429,6 +375,12 @@ class EEProblem:
                 C.reshape(M * K, -1), A.reshape(M * K, -1),
                 np.cumsum(self.harvest, axis=1).ravel())
             self.n_con += self.energy_rows.n
+        # row of the soft rows' Jacobian per (table, period): the outage
+        # rows come after the causality rows, periods outermost
+        n_tables = len(self.tables)
+        self.outage_rows = (self.n_con - self.bounds.n - self.outage_cons.n
+                            + n_tables * np.arange(K)[:, None]
+                            + np.arange(n_tables)[:, None, None])
 
         # Objective pieces; the depleted users spend their whole harvest.
         scale = M * K * config.alpha0 * T
@@ -469,17 +421,8 @@ class EEProblem:
         parts = [tb.value_grad_hess(x) for tb in self.tables]
         v = self.config.M if self.depleted else 0   # first variable row
         return TableEval(np.array([p[0] for p in parts]), self.period_idx,
-                         np.stack([p[1][v:].T for p in parts]),
-                         np.stack([p[2][:, v:, v:] for p in parts]))
-
-    def _soft_blocks(self, z, ev):
-        """(block, what it reads) per soft constraint block: the causality
-        rows, which the depleted variant has none of, read z and the
-        outage rows the shared TableEval."""
-        blocks = [(self.outage_cons, ev)]
-        if self.energy_rows is not None:
-            blocks.insert(0, (self.energy_rows, z))
-        return blocks
+                         np.array([p[1][v:].T for p in parts]),
+                         np.array([p[2][:, v:, v:] for p in parts]))
 
     def _barrier(self, z, t, derivs, q=None, sig=None):
         """One barrier pass: (value, grad, H), or (value, None, None)
@@ -487,36 +430,66 @@ class EEProblem:
 
         Without sig it is the inner barrier t * f0(z) + phi(z) at parameter
         q.  With sig (class -> slack scale) it is the phase-1 barrier
-        t * s + phi(z, s) at z = [z, s].  The value takes the same
-        operations with or without derivatives, so barrier_value rounds
-        exactly like barrier_fgh.  Outside the power box it is INF, and no
-        table is evaluated there.
+        t * s + phi(z, s) at z = [z, s].  The rows are checked in the order
+        box, causality, outage, and the pass is INF at the first that
+        fails, so outside the box or past a causality row no table is
+        evaluated.  The value takes the same operations with or without
+        derivatives, so barrier_value rounds exactly like barrier_fgh.
+
+        The box rows are diagonal.  The causality and outage rows and the
+        slack column form one Jacobian J, which adds J^T (1/d) to the
+        gradient and (J/d)^T (J/d) to H over the rows' denominators d; the
+        causality curvature goes on the diagonal, and each period's table
+        Hessians enter H once, weighted by t * table weight + 1/d.
         """
-        if not np.all(self.bounds.values(z) < 0.0):
+        margins = self.bounds.margins(z)
+        if not (margins > 0.0).all():
             return INF, None, None
+        ds = [margins.ravel()]
+
+        def inside(g, cls):
+            """Append the rows' denominators; True when all are positive."""
+            ds.append(-g if sig is None else z[-1] * sig[cls] - g)
+            return (ds[-1] > 0.0).all()
+
+        if self.energy_rows is not None:
+            g, E = self.energy_rows.terms(z)
+            if not inside(g, "causality"):
+                return INF, None, None
         ev = self.tables_at(z, derivs)
+        if not inside(self.outage_cons.values(ev), "outage"):
+            return INF, None, None
+        grad = H = hess_w = None
+        if derivs:
+            grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
+            hess_w = (1.0 / ds[-1]).reshape(ev.idx.shape[0], -1).T
         if sig is None:
-            f, grad, H = self.objective.fgh(z, q, ev, derivs)
-            if not np.isfinite(f):
-                return INF, grad, H
-            f *= t
-            if derivs:
-                grad *= t
-                H *= t
+            f = self.objective.fgh(z, q, ev, grad, H, t, hess_w)
         else:
-            f, grad, H = t * z[-1], None, None
+            f = t * z[-1]
             if derivs:
-                grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
                 grad[-1] = t
-        f += self.bounds.barrier(z, grad, H)    # finite inside the box
-        # sig softens every soft block with the slack z[-1]
-        for blk, at in self._soft_blocks(z, ev):
-            soft = None if sig is None else \
-                (z[-1], z.size - 1, sig[blk.soft_class])
-            phi = blk.barrier(at, grad, H, soft)
-            if not np.isfinite(phi):
-                return INF, grad, H
-            f += phi
+                ev.add_hessians(H, hess_w)
+        for d in ds:
+            f -= float(np.log(d).sum())
+        if not derivs:
+            return f, None, None
+        inv = 1.0 / margins
+        grad[:len(inv)] += inv[:, 0] - inv[:, 1]
+        _diagonal(H)[:len(inv)] += inv[:, 0] ** 2 + inv[:, 1] ** 2
+        J = np.zeros((self.n_con - self.bounds.n, z.size))
+        J[self.outage_rows, ev.idx] = ev.grads
+        if sig is not None:
+            J[:, -1] = -sig["outage"]
+        if self.energy_rows is not None:
+            rows = self.energy_rows
+            np.add(E, rows.A, out=J[:rows.n, :rows.dim])
+            if sig is not None:
+                J[:rows.n, -1] = -sig["causality"]
+            _diagonal(H)[:rows.dim] += (1.0 / ds[1]) @ E
+        J /= np.concatenate(ds[1:])[:, None]
+        grad += J.sum(axis=0)
+        H += J.T @ J
         return f, grad, H
 
     def barrier_fgh(self, z, q, t):
@@ -535,8 +508,10 @@ class EEProblem:
 
     def constraint_values(self, z):
         """(soft class, g) per constraint block; g < 0 is strictly inside."""
-        return [(blk.soft_class, blk.values(at))
-                for blk, at in self._soft_blocks(z, self.tables_at(z))]
+        outage = [("outage", self.outage_cons.values(self.tables_at(z)))]
+        if self.energy_rows is None:    # the depleted variant has none
+            return outage
+        return [("causality", self.energy_rows.values(z))] + outage
 
     def strictly_feasible(self, z) -> bool:
         if np.any(self.bounds.values(z) >= 0.0):
@@ -547,31 +522,40 @@ class EEProblem:
         """Log power level at which every outage posynomial sits at half
         the threshold when all nodes transmit at that common level.
 
-        Found by bisection (the posynomials are strictly decreasing in
-        the common level).  Returns the ceiling when even full power
-        cannot reach the target: phase 1 then starts from the best
-        uniform point available and certifies infeasibility properly.
+        Found by 60 bisection steps (the posynomials are strictly
+        decreasing in the common level), four at a time: the 15 mids of
+        the next four levels of the bisection tree are the columns of one
+        table call, and a column rounds like a call on that level alone.
+        Returns the ceiling when even full power cannot reach the target:
+        phase 1 then starts from the best uniform point available and
+        certifies infeasibility properly.
         """
         cfg = self.config
         target = 0.5 * cfg.pr_out_0
-        n_vars = cfg.M + cfg.N
 
-        def worst(xval):
-            x = np.full(n_vars, xval)
-            return max(float(t.value(x)) for t in self.tables)
+        def above(levels):
+            x = np.repeat([levels], cfg.M + cfg.N, axis=0)
+            return np.max([t.value(x) for t in self.tables], axis=0) > target
 
         lo = math.log(10.0 * P_MIN)
         hi = math.log(0.999 * cfg.p_max)
-        if worst(hi) > target:
+        ceiling, floor = above([hi, lo])
+        if ceiling:
             return hi
-        if worst(lo) <= target:
+        if not floor:
             return lo
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if worst(mid) > target:
-                lo = mid
-            else:
-                hi = mid
+        for _ in range(15):
+            # node i of the tree is the interval the loop reaches there;
+            # its children 2i + 1 and 2i + 2 follow a mid above and below
+            tree, mids = [(lo, hi)], []
+            for node in range(15):
+                a, b = tree[node]
+                mids.append(0.5 * (a + b))
+                tree += [(mids[-1], b), (a, mids[-1])]
+            hits, node = above(mids), 0
+            for _level in range(4):
+                lo, hi = (mids[node], hi) if hits[node] else (lo, mids[node])
+                node = 2 * node + (1 if hits[node] else 2)
         return hi
 
     def initial_point(self):
@@ -638,19 +622,19 @@ def _solve_newton_system(H, g):
     raise RuntimeError("Newton system could not be factorized")
 
 
-def _damped_newton(z, fgh, value, tol, max_iter, stop=None):
+def _damped_newton(z, fgh, tol, max_iter, stop=None):
     """Backtracking Newton on a barrier objective.
 
     A stage converges when half the squared Newton decrement lambda^2 is
     at most tol, or when the Armijo margin 0.25 * lambda^2 of a full step
     is at most F_RESOLUTION * |f|: below that the line search would only
     compare f's rounding errors (at t = 1e9 the barrier is about 1e9 and
-    its last bits decide).  value(z) must round exactly like fgh(z)[0].
-    When stop is given, the stage ends at the first accepted iterate z
-    with stop(z) true, before fgh is evaluated there.  Returns (z, iters,
-    converged); converged is False on a stall (line search exhausted or
-    iteration cap) and on a stop, so callers can tell a minimizer from a
-    stall.
+    its last bits decide).  Each line-search trial is one fgh pass, and
+    the accepted trial's (f, g, H) is the next step's, so no point is
+    evaluated twice.  When stop is given, the stage ends at the first
+    accepted iterate z with stop(z) true.  Returns (z, iters, converged);
+    converged is False on a stall (line search exhausted or iteration
+    cap) and on a stop, so callers can tell a minimizer from a stall.
     """
     f, g, H = fgh(z)
     if not np.isfinite(f):
@@ -672,18 +656,17 @@ def _damped_newton(z, fgh, value, tol, max_iter, stop=None):
         accepted = False
         while alpha >= 1e-14:
             zt = z - alpha * step
-            ft = value(zt)
-            if np.isfinite(ft) and ft <= f - 0.25 * alpha * lam2:
+            trial = fgh(zt)
+            if np.isfinite(trial[0]) and trial[0] <= f - 0.25 * alpha * lam2:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        z = zt
+        z, (f, g, H) = zt, trial
         iters += 1
         if stop is not None and stop(z):
             break
-        f, g, H = fgh(z)
     return z, iters, converged
 
 
@@ -711,7 +694,8 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     nothing, and stages there would only walk toward the centre.  A
     start at the optimum of a nearby problem can pass that solve's
     t_final: its one stage, the last and tight one, then re-centres in
-    place instead of walking back to the centre of t = T0.
+    place instead of walking back to the centre of t = T0.  Every stage
+    runs on barrier_fgh alone: one pass per line-search trial.
     """
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
@@ -721,16 +705,14 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     while True:
         last = problem.n_con / t <= KKT_TOL
         z, it, _conv = _damped_newton(
-            z,
-            lambda zz: problem.barrier_fgh(zz, q, t),
-            lambda zz: problem.barrier_value(zz, q, t),
+            z, lambda zz: problem.barrier_fgh(zz, q, t),
             NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON)
         total += it
         if last:
             break
         t *= BARRIER_MU
     return InnerResult(z=z, v_prime_norm=problem.objective.fgh(
-                           z, q, problem.tables_at(z), derivs=False)[0],
+                           z, q, problem.tables_at(z)),
                        newton_iters=total, t_final=t)
 
 
@@ -743,7 +725,9 @@ def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
     duality gap proves s* > 0.  The barrier path starts at t = T0, like
     the first inner solve's.  Its stages are centred to STAGE_TOL; a
     stage that would issue a certificate is centred again to NEWTON_TOL
-    at the same t, and the certificate is read at that point.
+    at the same t, and the certificate is read at that point.  Every
+    stage runs on soft_barrier_fgh alone, one pass per line-search trial;
+    an accepted iterate's pass is done before the margin test sees it.
     Returns (z, Newton iterations); the InfeasibleError carries its
     iterations too.
     """
@@ -779,9 +763,7 @@ def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
     for _stage in range(24):
         for tol in (STAGE_TOL, NEWTON_TOL):
             zs, it, conv = _damped_newton(
-                zs,
-                lambda zz: problem.soft_barrier_fgh(zz, t, sig),
-                lambda zz: problem.soft_barrier_value(zz, t, sig),
+                zs, lambda zz: problem.soft_barrier_fgh(zz, t, sig),
                 tol, MAX_NEWTON, stop=lambda zz: zz[-1] < -PHASE1_MARGIN)
             total += it
             any_converged = any_converged or conv
@@ -843,9 +825,9 @@ def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
     z[lay.user_idx] = x_tilde[:config.M]
     z[lay.relay_idx] = x_tilde[config.M:]
     lay.pack_transfers(transfers, z)
-    f_norm, grad, H = problem.objective.fgh(
-        z, q, problem.tables_at(z, derivs=True))
-    value = f_norm * problem.scale
+    grad, H = np.zeros(lay.dim), np.zeros((lay.dim, lay.dim))
+    value = problem.objective.fgh(z, q, problem.tables_at(z, derivs=True),
+                                  grad, H) * problem.scale
     grad = grad * problem.scale
     H = H * problem.scale
 

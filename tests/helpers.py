@@ -2,6 +2,7 @@
 test suite."""
 
 import dataclasses
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -210,3 +211,32 @@ def expanded_per_user_tables(coeffs, groups, M, N):
             rows[key] = rows.get(key, 0.0) + coef
         tables.append(_oracle_table(rows, M, N, coeffs.m))
     return tables
+
+
+# ---------------------------------------------------------------------------
+# oracles: solver steps the package batches
+
+
+def uniform_outage_level_sequential(problem):
+    """EEProblem._uniform_outage_level as its plain bisection: 60 steps,
+    each one single-level table call."""
+    cfg = problem.config
+    target = 0.5 * cfg.pr_out_0
+
+    def worst(xval):
+        x = np.full(cfg.M + cfg.N, xval)
+        return max(float(t.value(x)) for t in problem.tables)
+
+    lo = math.log(10.0 * P_MIN)
+    hi = math.log(0.999 * cfg.p_max)
+    if worst(hi) > target:
+        return hi
+    if worst(lo) <= target:
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if worst(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi

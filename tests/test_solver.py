@@ -42,6 +42,7 @@ from helpers import (
     solver_toy,
     tiled_config,
     transform_policy,
+    uniform_outage_level_sequential,
 )
 
 
@@ -274,15 +275,14 @@ class TestCentring:
         calls = []
         damped_newton = solver_mod._damped_newton
 
-        def recording(z, fgh, value, tol, max_iter, stop=None):
+        def recording(z, fgh, tol, max_iter, stop=None):
             seen = []
 
             def watch(zz):
                 seen.append(float(zz[-1]))
                 return stop(zz)
 
-            out = damped_newton(z, fgh, value, tol, max_iter,
-                                stop and watch)
+            out = damped_newton(z, fgh, tol, max_iter, stop and watch)
             calls.append((tol, seen, out[1], out[0]))
             return out
 
@@ -380,6 +380,84 @@ class TestCentring:
         assert slacks[-1] < -solver_mod.PHASE1_MARGIN
         assert all(s >= -solver_mod.PHASE1_MARGIN for s in slacks[:-1])
         np.testing.assert_array_equal(z, stages[-1][3][:-1])
+
+
+class TestLineSearch:
+    """Each line-search trial is one barrier_fgh (soft_barrier_fgh in
+    phase 1) pass, and the accepted trial's derivatives serve the next
+    Newton step: no point is evaluated twice, and no barrier pass runs
+    outside the Newton stages."""
+
+    @pytest.mark.parametrize("solve", [
+        dinkelbach_optimize, depleted_energy_policy, nonc_df_policy,
+        no_transfer_policy])
+    def test_one_fgh_pass_per_trial(self, solve, monkeypatch):
+        passes, stages = [], []
+        barrier = EEProblem._barrier
+
+        def counted(self, z, t, derivs, *args, **kwargs):
+            passes.append(derivs)
+            return barrier(self, z, t, derivs, *args, **kwargs)
+
+        damped_newton = solver_mod._damped_newton
+
+        def recording(z, fgh, tol, max_iter, stop=None):
+            points = []
+
+            def watched(zz):
+                points.append(zz.copy())
+                return fgh(zz)
+
+            out = damped_newton(z, watched, tol, max_iter, stop)
+            stages.append((points, out))
+            return out
+
+        monkeypatch.setattr(EEProblem, "_barrier", counted)
+        monkeypatch.setattr(solver_mod, "_damped_newton", recording)
+        res = solve(load_scenario(REFERENCE))
+        assert res.status == "converged"
+        assert passes == [True] * sum(len(p) for p, _ in stages)
+        assert sum(out[1] for _, out in stages) \
+            == res.newton_iters_total + res.phase1_newton_iters
+        for points, (z, iters, _conv) in stages:
+            # the start, then one distinct point per trial, the accepted
+            # ones among them
+            assert len({p.tobytes() for p in points}) == len(points) \
+                >= 1 + iters
+            assert any(np.array_equal(z, p) for p in points)
+
+
+class TestUniformOutageLevel:
+    """The start's common power level from the batched bisection equals
+    the plain 60-step bisection's bit for bit: its mids are computed
+    alike, and a column of a batched table call rounds like a call on
+    that level alone."""
+
+    CASES = {
+        # name: (config from the reference, branch taken)
+        "toy": (lambda ref: solver_toy(), "bisection"),
+        "reference_m0.5": (lambda ref: ref.replace(m=0.5), "ceiling"),
+        "reference_m1": (lambda ref: ref, "bisection"),
+        "reference_m2.5": (lambda ref: ref.replace(m=2.5), "bisection"),
+        "tiled_3x8": (lambda ref: tiled_config(ref, 3, 8, 4), "bisection"),
+        "toy_ceiling": (lambda ref: solver_toy(pr_out_0=1e-12), "ceiling"),
+        "toy_floor": (lambda ref: solver_toy(d=1e-3, pr_out_0=0.5),
+                      "floor"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_sequential_bisection(self, case):
+        make, branch = self.CASES[case]
+        cfg = make(load_scenario(REFERENCE))
+        prob = EEProblem(cfg, compute_link_coefficients(cfg))
+        level = prob._uniform_outage_level()
+        assert level == uniform_outage_level_sequential(prob)
+        ends = {"floor": math.log(10.0 * P_MIN),
+                "ceiling": math.log(0.999 * cfg.p_max)}
+        if branch in ends:
+            assert level == ends[branch]
+        else:
+            assert ends["floor"] < level < ends["ceiling"]
 
 
 class TestDinkelbach:
@@ -765,11 +843,14 @@ class TestBarrierAssembly:
                                                   monkeypatch):
         """Just outside each part of the domain both barrier pairs give
         INF; the soft form's slack covers every soft row, or none where a
-        soft row is the one crossed.  Outside the power box neither pair
-        evaluates a table: most failed line-search trials land there."""
+        soft row is the one crossed.  Outside the power box and past a
+        causality row neither pair evaluates a table: the box and the
+        causality rows are checked first, and most failed line-search
+        trials land there."""
 
         def no_tables(*_args, **_kw):
-            raise AssertionError("tables evaluated outside the power box")
+            raise AssertionError("tables evaluated outside the box or "
+                                 "past a causality row")
 
         for scenario in ("toy", "reference"):
             prob = self.problem(self.scenario(scenario), variant)
@@ -789,7 +870,7 @@ class TestBarrierAssembly:
                     soft_values_scaled(prob, z).max())
                 zs = np.append(z, slack)
                 with monkeypatch.context() as mp:
-                    if name == "bounds":
+                    if name in ("bounds", "causality"):
                         mp.setattr(prob, "tables_at", no_tables)
                     for t in (1.0, 1e9):
                         assert prob.barrier_value(z, q, t) \
