@@ -1,7 +1,7 @@
 """Channel-realization simulation for validating the outage analysis.
 
-Squared Nakagami-m envelopes are gamma variates.  Each block of link
-draws is one ``Generator.standard_gamma`` call times the scale omega / m,
+Squared Nakagami-m envelopes are gamma variates: one
+``Generator.standard_gamma`` draw with shape m times the scale omega / m,
 bit for bit what ``Generator.gamma`` returns.  A link succeeds when the
 received SNR clears the rate threshold:
 
@@ -9,9 +9,17 @@ received SNR clears the rate threshold:
     <=>  gain * d**(-beta) * p >= (2**(alpha0 / B) - 1) * N0 * B
 
 The simulator compares in the power domain (right-hand form), never
-taking logs per trial.  A relay decodes when every first-hop link of the
-period succeeds; the destination recovers all messages when at least M
-relays both decoded and got their forward through.
+taking logs per trial.  With margin = d**(-beta) * p / (gap * N0 * B) a
+link succeeds iff (s * (omega / m)) * margin >= 1 in floating point, for
+the standard gamma draw s.  Rounded multiplication by a positive
+constant never decreases, so that test is s >= thr for one threshold
+per link and period: the smallest double that passes it, found once per
+call by bisection over the ordered bit patterns of the non-negative
+doubles (inf where none passes, as for a relay switched off).  The
+trials compare raw draws with these thresholds and never scale a draw.
+A relay decodes when every first-hop link of the period succeeds; the
+destination recovers all messages when at least M relays both decoded
+and got their forward through.
 
 Randomness is counter-based (Philox) and keyed by an explicit
 (seed, stream_id) pair, so any draw sequence is reproducible and streams
@@ -23,6 +31,14 @@ thread pool, since NumPy's gamma sampler releases the GIL, and their
 integer counts are summed, so the result depends on the seed, stream id,
 stream count and chunk size, and never on the number of threads.  A
 stream that fits in one chunk draws the unjumped stream.
+
+Per period a chunk draws its first-hop gains, then its second-hop gains,
+each in row order and in blocks of ``_BLOCK`` trials.  Back-to-back
+``standard_gamma`` calls use the stream exactly as one call on the whole
+array does, so the block size changes no count.  Only the chunk's (n, N)
+relay decode flags outlive a block: a thread holds n * N bytes of flags
+plus one block of gains, (M + 1) * N * 8 bytes per trial of the block,
+whatever the chunk size.
 """
 
 import math
@@ -36,6 +52,8 @@ from .model import ScenarioConfig, Policy, snr_gap, total_energy
 
 _U64 = 2 ** 64
 _Z95 = 1.959963984540054
+_BLOCK = 8192                 # trials drawn and tallied per block
+_INF_BITS = np.float64(np.inf).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,34 +117,45 @@ def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     gen = _as_generator(rng)
     if size is None and out is None:
         size = omega.shape
-    return _draw_gains(gen, omega, m, size, out)
-
-
-def _draw_gains(gen, omega, m, size=None, out=None):
-    """Unchecked body of sample_channel_power_gain: standard gamma draws
-    scaled by omega / m.  estimate_outage's worker threads draw through
-    this helper, never the public name, which the benchmark tracer
-    rebinds with a single-threaded span stack."""
     draws = gen.standard_gamma(m, size=size, out=out)
     draws *= omega / m
     return draws
 
 
-def _success_margins(config: ScenarioConfig, p_user, p_relay):
-    """Per-link gain multipliers: a link succeeds iff gain * margin >= 1.
+def _success_margins(config: ScenarioConfig, policy: Policy):
+    """Per-link gain multipliers of every period, (K, M, N) and (K, N):
+    a link succeeds iff gain * margin >= 1.
 
     margin = d**(-beta) * p / (gap * N0 * B), which keeps zero powers
     well defined (margin 0 never succeeds) without dividing by p.
     """
-    p_user = np.asarray(p_user, dtype=float)
-    p_relay = np.asarray(p_relay, dtype=float)
-    if p_user.shape != (config.M,) or p_relay.shape != (config.N,):
-        raise ValueError("expected per-period power vectors (M,) and (N,)")
     need = snr_gap(config) * config.B
-    m_h = config.d_h ** (-config.beta_h) * p_user[:, None] / (
+    m_h = config.d_h ** (-config.beta_h) * policy.p_u.T[:, :, None] / (
         need * config.N0_h)
-    m_g = config.d_g ** (-config.beta_g) * p_relay / (need * config.N0_g)
+    m_g = config.d_g ** (-config.beta_g) * policy.p_r.T / (
+        need * config.N0_g)
     return m_h, m_g
+
+
+def _thresholds(scale, margin):
+    """Smallest double s with (s * scale) * margin >= 1.0, elementwise,
+    for positive scales and non-negative margins; inf where no finite s
+    passes (a zero margin).  Both products round monotonically in s, so
+    s >= _thresholds(scale, margin) is that test bit for bit.  Bisection
+    over the bit patterns of [0, inf], which order like the doubles:
+    lo always fails, hi passes or is inf."""
+    scale, margin = np.broadcast_arrays(np.asarray(scale, dtype=float),
+                                        np.asarray(margin, dtype=float))
+    lo = np.zeros(scale.shape, dtype=np.int64)
+    hi = np.full(scale.shape, _INF_BITS)
+    # products past the largest double round to inf, and inf * 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(63):     # the width, below 2**63, halves each step
+            mid = lo + (hi - lo) // 2
+            passed = (mid.view(np.float64) * scale) * margin >= 1.0
+            hi = np.where(passed, mid, hi)
+            lo = np.where(passed, lo, mid)
+    return hi.view(np.float64)
 
 
 def wilson_interval(count, n, z=_Z95):
@@ -167,35 +196,43 @@ class MonteCarloResult:
     ee: float                # bits / e_tot
 
 
-def _tally_chunk(config, margins, spec, chunk, n):
+def _tally_chunk(config, thr_h, thr_g, spec, chunk, n):
     """Simulate n trials of every period on chunk substream `chunk` of
-    spec; returns the (outage_count, decode_count) tallies.
+    spec against the (K, M, N) and (K, N) link thresholds of the raw
+    standard gamma draws; returns the (outage_count, decode_count)
+    tallies.
 
-    Per period the draws are the (n, M, N) first-hop block then the
-    (n, N) second-hop block.
+    Per period the draws are the (n, M, N) first-hop gains then the
+    (n, N) second-hop gains, each drawn in row order in blocks of at
+    most _BLOCK trials.
     """
-    M, N = config.M, config.N
+    M, N, m = config.M, config.N, config.m
     gen = spec.generator(chunk)
-    gains_h = np.empty((n, M, N))
-    gains_g = np.empty((n, N))
+    block = min(n, _BLOCK)
+    gains_h = np.empty((block, M, N))
+    gains_g = np.empty((block, N))
+    decoded = np.empty((n, N), dtype=bool)
     outage_count = np.zeros(config.K, dtype=np.int64)
     decode_count = np.zeros((config.K, N), dtype=np.int64)
-    for k, (margin_h, margin_g) in enumerate(margins):
-        _draw_gains(gen, config.omega_h, config.m, out=gains_h)
-        _draw_gains(gen, config.omega_g, config.m, out=gains_g)
-        gains_h *= margin_h
-        gains_g *= margin_g
-        decoded = gains_h[:, 0] >= 1.0
-        for i in range(1, M):
-            decoded &= gains_h[:, i] >= 1.0
-        forwarded = gains_g >= 1.0
-        forwarded &= decoded
+    blocks = [(start, min(start + block, n)) for start in range(0, n, block)]
+    for k in range(config.K):
+        for start, stop in blocks:
+            gains = gen.standard_gamma(m, out=gains_h[:stop - start])
+            dec = decoded[start:stop]
+            np.greater_equal(gains[:, 0], thr_h[k, 0], out=dec)
+            for i in range(1, M):
+                dec &= gains[:, i] >= thr_h[k, i]
         # column by column: a strided count beats an axis reduction here
-        sent = np.zeros(n, dtype=np.intp)
         for j in range(N):
             decode_count[k, j] = np.count_nonzero(decoded[:, j])
-            sent += forwarded[:, j]
-        outage_count[k] = np.count_nonzero(sent < M)
+        for start, stop in blocks:
+            gains = gen.standard_gamma(m, out=gains_g[:stop - start])
+            forwarded = gains >= thr_g[k]
+            forwarded &= decoded[start:stop]
+            sent = np.zeros(stop - start, dtype=np.intp)
+            for j in range(N):
+                sent += forwarded[:, j]
+            outage_count[k] += np.count_nonzero(sent < M)
     return outage_count, decode_count
 
 
@@ -215,7 +252,10 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     separate workers reproduces it exactly under the same partitioning.
     chunk_size is part of the reproducibility key: each chunk draws all
     its first-hop gains before its second-hop gains, so another chunk
-    size gives another realization.
+    size gives another realization.  The block size within a chunk
+    (_BLOCK) is not part of it: the blocks draw in stream order, so any
+    block size gives the same counts.  A policy whose arrays do not
+    match the scenario's (M, N, K) raises ValueError before any draw.
     """
     trials = int(trials)
     if trials < 1:
@@ -232,8 +272,17 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
         raise ValueError("rng must be an RngSpec or an integer seed; a "
                          "Generator cannot be split into chunk substreams")
 
-    margins = [_success_margins(config, policy.p_u[:, k], policy.p_r[:, k])
-               for k in range(config.K)]
+    M, N, K = config.M, config.N, config.K
+    if policy.p_u.shape != (M, K) or policy.p_r.shape != (N, K) \
+            or policy.transfers.shape != (K, M, M):
+        raise ValueError(
+            f"policy arrays p_u {policy.p_u.shape}, p_r {policy.p_r.shape}"
+            f" and transfers {policy.transfers.shape} do not match the "
+            f"scenario's ({M}, {K}), ({N}, {K}) and ({K}, {M}, {M})")
+
+    m_h, m_g = _success_margins(config, policy)
+    thr_h = _thresholds(config.omega_h / config.m, m_h)
+    thr_g = _thresholds(config.omega_g / config.m, m_g)
     base, rem = divmod(trials, n_streams)
     jobs = []
     for s in range(n_streams):
@@ -244,7 +293,7 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     workers = min(len(jobs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tallies = list(pool.map(
-            lambda job: _tally_chunk(config, margins, *job), jobs))
+            lambda job: _tally_chunk(config, thr_h, thr_g, *job), jobs))
     outage_count = sum(t[0] for t in tallies)
     decode_count = sum(t[1] for t in tallies)
 

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eecoop.montecarlo
 from eecoop import cli
 from eecoop.model import Policy, load_scenario, save_scenario
 from helpers import solver_toy
 
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
+    / "reference_m2n4.json"
 EXPECTED_SWEEP_HEADER = ("axis,value,feasible,reason,ee,e_tot,q_star,"
                          "transfers_total,pr_out_max,pr_out_1,pr_out_2")
 EXPECTED_COMPARE_HEADER = ("axis,value,method,feasible,reason,ee,e_tot,"
@@ -313,6 +317,24 @@ class TestSimulate:
         code, out = run_cli(["simulate", "--scenario", toy_path,
                              "--set", "pr_out_0=1e-9", "--trials", 100])
         assert code == 3
+
+    @pytest.mark.parametrize("K", [5, 12])
+    def test_policy_of_other_period_count_exits_2(self, tmp_path,
+                                                  monkeypatch, K):
+        """Refused like validate refuses it, before any trial is drawn."""
+        cfg = load_scenario(REFERENCE)
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(Policy(
+            np.full((cfg.M, K), 0.01), np.full((cfg.N, K), 0.01),
+            np.zeros((K, cfg.M, cfg.M))).to_dict()), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(eecoop.montecarlo, "_tally_chunk",
+                            lambda *args: calls.append(args))
+        code, out = run_cli(["simulate", "--scenario", REFERENCE,
+                             "--policy", bad, "--trials", 1000])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid_input"
+        assert calls == []
 
 
 class TestSweep:

@@ -6,13 +6,15 @@ incomplete gamma, gamma-distribution moment identities, and the exact
 outage evaluator (itself enumeration-checked elsewhere).
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from eecoop.model import load_scenario, zero_policy, total_energy
+import eecoop.montecarlo
+from eecoop.model import Policy, load_scenario, zero_policy, total_energy
 from eecoop.montecarlo import (MonteCarloResult, RngSpec, estimate_outage,
                                sample_channel_power_gain, wilson_interval)
 from eecoop.outage import network_outage_report
@@ -145,6 +147,49 @@ class TestGainSampler:
         assert got is out
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
+
+class TestThresholds:
+    """A raw draw s passes a link iff s >= its threshold, which must give
+    the scaled test (s * scale) * margin >= 1 bit for bit, so moving a
+    threshold by one ulp either way fails at it or just below it."""
+
+    @pytest.fixture()
+    def links(self):
+        rng = np.random.default_rng(28)
+        scale = 10.0 ** rng.uniform(-300, 300, 4000)
+        margin = 10.0 ** rng.uniform(-300, 300, 4000)
+        # near-unit products, where thresholds sit among ordinary draws
+        scale[:1000] = rng.uniform(0.1, 10.0, 1000)
+        margin[:1000] = rng.uniform(0.1, 10.0, 1000) / scale[:1000]
+        margin[-5:] = 0.0
+        thr = eecoop.montecarlo._thresholds(scale, margin)
+        return scale, margin, thr, rng
+
+    @staticmethod
+    def assert_agrees(s, scale, margin, thr):
+        s, scale, margin, thr = np.broadcast_arrays(s, scale, margin, thr)
+        finite = np.isfinite(s)     # a gamma draw is never inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (s * scale) * margin >= 1.0
+        assert np.array_equal((s >= thr)[finite], want[finite])
+
+    def test_exact_at_and_beside_threshold(self, links):
+        scale, margin, thr, _ = links
+        assert np.isfinite(thr[:-5]).sum() > 1000
+        assert np.all(thr[-5:] == np.inf)
+        for s in (thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf)):
+            self.assert_agrees(s, scale, margin, thr)
+
+    def test_exact_on_draws(self, links):
+        scale, margin, thr, rng = links
+        draws = np.concatenate([
+            rng.standard_gamma(m, size=(50, scale.size))
+            for m in (0.5, 1.0, 2.5)])
+        self.assert_agrees(draws, scale, margin, thr)
+        self.assert_agrees(10.0 ** rng.uniform(-320, 308, draws.shape),
+                           scale, margin, thr)
+
+
 class TestTrialOutcome:
     """Trial outcomes as estimate_outage tallies them: a trial succeeds
     when at least M relays decoded and forwarded."""
@@ -198,6 +243,20 @@ class TestSimulatePeriod:
         _, pol = toy_point(M=1, N=2)
         with pytest.raises(ValueError):
             estimate_outage(cfg, pol, 10, RngSpec(seed=0))
+
+    @pytest.mark.parametrize("K", [5, 12])
+    def test_period_count_checked_before_drawing(self, K, monkeypatch):
+        """A policy with fewer or more periods than the scenario is
+        refused before any chunk is drawn."""
+        cfg = load_scenario(REFERENCE)
+        pol = Policy(np.full((cfg.M, K), 0.01), np.full((cfg.N, K), 0.01),
+                     np.zeros((K, cfg.M, cfg.M)))
+        calls = []
+        monkeypatch.setattr(eecoop.montecarlo, "_tally_chunk",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="do not match"):
+            estimate_outage(cfg, pol, 1000, RngSpec(seed=0))
+        assert calls == []
 
 
 class TestWilson:
@@ -376,6 +435,31 @@ class TestEstimateOutage:
             assert res.outage_count.dtype == np.int64
             assert res.outage_count.tolist() == outage
             assert res.decode_count.tolist() == decode
+
+    @pytest.mark.parametrize("block", [977, 1 << 20])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
+    def test_block_size_keeps_counts(self, m, block, monkeypatch):
+        """The blocks of a chunk draw in stream order, so blocks of 977
+        trials (several per chunk, the last one partial) and one block
+        per chunk reproduce the pinned counts."""
+        monkeypatch.setattr(eecoop.montecarlo, "_BLOCK", block)
+        self.test_counts_pinned(m)
+
+    def test_memory_bounded_per_thread(self, monkeypatch):
+        """Two full 65,536-trial chunks on one thread hold one block of
+        gains and one chunk of decode flags at a time: a whole chunk of
+        gains would be 6 MiB on the reference network."""
+        monkeypatch.setattr("eecoop.montecarlo.os.cpu_count", lambda: 1)
+        cfg = load_scenario(REFERENCE)
+        pol = zero_policy(cfg, p_user=0.01, p_relay=0.01)
+        estimate_outage(cfg, pol, 1000, RngSpec(seed=1))
+        tracemalloc.start()
+        try:
+            estimate_outage(cfg, pol, 2 * 65_536, RngSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_bad_arguments_rejected(self):
         cfg, pol = toy_point()
