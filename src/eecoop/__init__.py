@@ -11,6 +11,7 @@ from .model import (
     compute_link_coefficients,
     energy_ledger,
     energy_efficiency,
+    link_outage,
     total_energy,
     validate_policy,
     load_scenario,
@@ -20,7 +21,6 @@ from .model import (
 from .outage import (
     OutageReport,
     MonomialTable,
-    per_link_outage_exact,
     network_outage_exact,
     relay_miss_prob,
     network_outage_approx,

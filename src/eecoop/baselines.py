@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammainc
 
 from .model import (
     OUTAGE_AUDIT_RTOL,
@@ -21,6 +20,7 @@ from .model import (
     compute_link_coefficients,
     energy_efficiency,
     link_b_factors,
+    link_outage,
     total_energy,
     validate_policy,
 )
@@ -290,8 +290,9 @@ def _per_link_pe_grids(config: ScenarioConfig, grids):
     """
     f_u, f_r = link_b_factors(config)
     grids = np.reshape(grids, (config.M + config.N, config.K, -1))
-    pe_u = gammainc(config.m, f_u[:, :, None, None] / grids[:config.M, None])
-    pe_r = gammainc(config.m, f_r[:, None, None] / grids[config.M:])
+    pe_u = link_outage(config.m,
+                       f_u[:, :, None, None] / grids[:config.M, None])
+    pe_r = link_outage(config.m, f_r[:, None, None] / grids[config.M:])
     return pe_u, pe_r
 
 

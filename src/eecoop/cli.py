@@ -432,9 +432,8 @@ def cmd_validate(args) -> int:
         "e_tot": float(total_energy(config, policy)),
     }
     if policy.outage_defined:
-        exact = network_outage_report(config, policy, mode="exact")
-        record["ee_exact"] = float(energy_efficiency(config, policy,
-                                                     exact.pr_out))
+        record["ee_exact"] = float(energy_efficiency(
+            config, policy, report.outage_report.pr_out))
         # approximate outage is undefined at a switched-off relay
         if args.outage_mode == "exact" or np.all(policy.p_r > 0.0):
             record["outage"] = _outage_block(config, policy,

@@ -1,4 +1,5 @@
-"""Scenario description, policies, energy accounting and feasibility checks.
+"""Scenario description, policies, exact per-link outage, energy accounting
+and feasibility checks.
 
 Conventions used throughout the package:
   * M users transmit to a common destination through N decode-and-forward
@@ -13,10 +14,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+
+if TYPE_CHECKING:
+    from .outage import OutageReport
 
 
 def _as_float_array(x, shape, name):
@@ -172,11 +177,105 @@ def link_b_factors(config: ScenarioConfig):
     return f_u, f_r
 
 
+def link_outage(m: float, b) -> np.ndarray:
+    """Exact outage of Nakagami-m links: P(m, b), the regularized lower
+    incomplete gamma function, elementwise over b, for a scalar m > 0.
+
+    A link with b = factor / p (link_b_factors) is in outage with
+    probability P(m, b).  Below b = m + 1 P is its power series, above it
+    1 - Q with Q Legendre's continued fraction (Press et al., Numerical
+    Recipes, 3rd ed., 2007, section 6.2).  Both prefactors
+    b**m e**(-b) / Gamma are taken in log space, so probabilities down to
+    the smallest doubles keep their relative accuracy.  P(m, 0) = 0,
+    P(m, inf) = 1 and NaN stays NaN; a negative b raises ValueError.
+    """
+    if not m > 0.0:
+        raise ValueError(f"m must be > 0, got {m}")
+    b = np.asarray(b, dtype=float)
+    if (b < 0.0).any():
+        raise ValueError("link outage needs b >= 0")
+    positive = b > 0.0
+    series = positive & (b < m + 1.0)
+    if series.all() and b.size:
+        return _lower_series(m, b)
+    # 0 -> 0, inf -> 1 and NaN -> NaN; the masks below fill the rest
+    p = np.where(positive, 1.0, b)
+    fraction = (b >= m + 1.0) & (b < np.inf)
+    if series.any():
+        p[series] = _lower_series(m, b[series])
+    if fraction.any():
+        p[fraction] = 1.0 - _upper_fraction(m, b[fraction])
+    return p
+
+
+# Truncation level of both expansions, relative to their sums.  The Lentz
+# ratio c * d of a converged fraction still rounds up to four ulps away
+# from one, so a level below that might never be met.
+_EXPANSION_TOL = 8.0 * np.finfo(float).eps
+
+
+def _lower_series(m: float, x: np.ndarray) -> np.ndarray:
+    """P(m, x) for 0 < x < m + 1:
+    x**m e**(-x) / Gamma(m + 1) * sum_k x**k / ((m + 1) ... (m + k)).
+
+    Every term grows with x, so the largest x sets the term count, found
+    on scalars; the sum is then a Horner pass in u = x / (m + 1) <= 1 over
+    coefficients prod_j (m + 1) / (m + j) <= 1, which neither overflow
+    nor leave the array loop any work but a multiply and an add per term.
+    """
+    a = m + 1.0
+    u_max = float(x.max()) / a
+    coef, c, term, k = [1.0], 1.0, 1.0, 0
+    while term > _EXPANSION_TOL:
+        k += 1
+        c *= a / (m + k)
+        term = c * u_max ** k
+        coef.append(c)
+    u = x / a
+    total = u * coef.pop()
+    for c in reversed(coef[1:]):
+        total += c
+        total *= u
+    total += 1.0
+    return np.exp(m * np.log(x) - x - math.lgamma(a)) * total
+
+
+def _upper_fraction(m: float, x: np.ndarray) -> np.ndarray:
+    """Q(m, x) = 1 - P(m, x) for m + 1 <= x < inf:
+    x**m e**(-x) / Gamma(m) / (b_0 + a_1 / (b_1 + a_2 / (b_2 + ...))),
+    with b_i = x + 1 - m + 2 i and a_i = i (m - i).
+
+    The fraction converges faster as x grows, so the depth is where the
+    modified Lentz recurrence stops changing on the smallest x, found on
+    scalars.  It is then evaluated from that depth up, three array
+    operations per level; every tail stays at least b_i / 2 > 0 there.
+    """
+    x_min = float(x.min())
+    bb, c, depth = x_min + 1.0 - m, math.inf, 0
+    d = 1.0 / bb
+    while True:
+        depth += 1
+        an = depth * (m - depth)
+        bb += 2.0
+        d = 1.0 / (an * d + bb)
+        c = bb + an / c
+        if abs(c * d - 1.0) <= _EXPANSION_TOL:
+            break
+    tail = np.zeros(x.shape)
+    for i in range(depth, 0, -1):
+        tail += x
+        tail += 1.0 - m + 2.0 * i
+        np.divide(i * (m - i), tail, out=tail)
+    tail += x
+    tail += 1.0 - m
+    return np.exp(m * np.log(x) - x - math.lgamma(m)) / tail
+
+
 def compute_link_coefficients(config: ScenarioConfig) -> LinkCoefficients:
     """Closed-form monomial coefficients for every link of the scenario:
     c = factor**m / Gamma(m + 1), factor from link_b_factors."""
     m = config.m
-    c_u, c_r = (f ** m / gamma_fn(m + 1.0) for f in link_b_factors(config))
+    c_u, c_r = (f ** m / math.gamma(m + 1.0) for f in link_b_factors(config))
     if np.any(c_u <= 0) or np.any(c_r <= 0):
         raise ValueError("link coefficients must be strictly positive")
     return LinkCoefficients(c_u=c_u, c_r=c_r, m=m)
@@ -320,12 +419,14 @@ class FeasibilityReport:
 
     worst maps a constraint class name to its largest violation magnitude
     (0.0 when satisfied).  Classes: power_bounds, transfer_bounds,
-    causality, outage.
+    causality, outage.  outage_report is the exact OutageReport that the
+    outage check evaluated, or None when that check did not run.
     """
 
     feasible: bool
     worst: dict
     messages: list = field(default_factory=list)
+    outage_report: OutageReport | None = None
 
     def summary(self) -> str:
         if self.feasible:
@@ -342,6 +443,22 @@ P_MIN = 1e-9
 OUTAGE_AUDIT_RTOL = 1e-6
 
 
+def check_policy_arrays(config: ScenarioConfig, policy: Policy) -> None:
+    """Raise ValueError unless the policy's arrays have the scenario's
+    shapes and only finite entries."""
+    M, N, K = config.M, config.N, config.K
+    if policy.p_u.shape != (M, K) or policy.p_r.shape != (N, K) \
+            or policy.transfers.shape != (K, M, M):
+        raise ValueError(
+            f"policy arrays p_u {policy.p_u.shape}, p_r {policy.p_r.shape}"
+            f" and transfers {policy.transfers.shape} do not match the "
+            f"scenario's ({M}, {K}), ({N}, {K}) and ({K}, {M}, {M})")
+    for name, arr in (("p_u", policy.p_u), ("p_r", policy.p_r),
+                      ("transfers", policy.transfers)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"policy.{name} contains non-finite entries")
+
+
 def validate_policy(config: ScenarioConfig, policy: Policy,
                     check_outage: bool = True) -> FeasibilityReport:
     """Audit a policy: power bounds, transfer sanity, causality, exact outage.
@@ -354,15 +471,7 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
     worst = {"power_bounds": 0.0, "transfer_bounds": 0.0,
              "causality": 0.0, "outage": 0.0}
     messages = []
-
-    if policy.p_u.shape != (config.M, config.K) \
-            or policy.p_r.shape != (config.N, config.K) \
-            or policy.transfers.shape != (config.K, config.M, config.M):
-        raise ValueError("policy does not match scenario dimensions")
-    for name, arr in (("p_u", policy.p_u), ("p_r", policy.p_r),
-                      ("transfers", policy.transfers)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"policy.{name} contains non-finite entries")
+    check_policy_arrays(config, policy)
 
     # Power bounds.  Strict positivity for users: a zero is flagged no
     # matter how small TOL_FEAS is.
@@ -408,6 +517,7 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
             f"period {k + 1}")
 
     # Exact outage against the configured target.
+    report = None
     if check_outage and policy.outage_defined:
         from .outage import network_outage_report
         report = network_outage_report(config, policy, mode="exact")
@@ -424,4 +534,5 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
         messages.append("outage undefined for out-of-range powers")
 
     feasible = all(v <= 0.0 for v in worst.values())
-    return FeasibilityReport(feasible=feasible, worst=worst, messages=messages)
+    return FeasibilityReport(feasible=feasible, worst=worst, messages=messages,
+                             outage_report=report)

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ScenarioConfig, Policy, snr_gap, total_energy
+from .model import (ScenarioConfig, Policy, check_policy_arrays, snr_gap,
+                    total_energy)
 
 _U64 = 2 ** 64
 _Z95 = 1.959963984540054
@@ -255,7 +256,8 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     size gives another realization.  The block size within a chunk
     (_BLOCK) is not part of it: the blocks draw in stream order, so any
     block size gives the same counts.  A policy whose arrays do not
-    match the scenario's (M, N, K) raises ValueError before any draw.
+    match the scenario's (M, N, K), hold a non-finite entry, a user power
+    <= 0 or a negative relay power raises ValueError before any draw.
     """
     trials = int(trials)
     if trials < 1:
@@ -272,13 +274,11 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
         raise ValueError("rng must be an RngSpec or an integer seed; a "
                          "Generator cannot be split into chunk substreams")
 
-    M, N, K = config.M, config.N, config.K
-    if policy.p_u.shape != (M, K) or policy.p_r.shape != (N, K) \
-            or policy.transfers.shape != (K, M, M):
-        raise ValueError(
-            f"policy arrays p_u {policy.p_u.shape}, p_r {policy.p_r.shape}"
-            f" and transfers {policy.transfers.shape} do not match the "
-            f"scenario's ({M}, {K}), ({N}, {K}) and ({K}, {M}, {M})")
+    check_policy_arrays(config, policy)
+    if np.any(policy.p_u <= 0.0):
+        raise ValueError("user powers must be strictly positive")
+    if np.any(policy.p_r < 0.0):
+        raise ValueError("relay powers must be >= 0")
 
     m_h, m_g = _success_margins(config, policy)
     thr_h = _thresholds(config.omega_h / config.m, m_h)

@@ -1,4 +1,4 @@
-"""Exact and small-outage approximate outage probabilities.
+"""Exact and small-outage approximate network outage probabilities.
 
 The network delivers all M user messages in a period when at least M relays
 both decode every user message (first hop) and get their network-coded
@@ -10,7 +10,8 @@ into two disjoint events:
 
 Both forms come from one recursion over relays: relay by relay it updates
 the distribution of how many relays decode and how many of those forward,
-each count capped at M, so A and B are read off its states.  The
+each count capped at M, so A and B are read off its states.  The exact
+form runs it on per-link outages from model.link_outage.  The
 approximate form replaces every per-link outage with its dominant monomial
 c * p**(-m) and every success probability with one, and runs the recursion
 on posynomials into a sum of monomials in the transmit powers.  That
@@ -46,9 +47,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
-from .model import LinkCoefficients, Policy, ScenarioConfig, link_b_factors
+from .model import (LinkCoefficients, Policy, ScenarioConfig, link_b_factors,
+                    link_outage)
 
 # Tables with more terms than this are never expanded and evaluate by
 # OutageRecursion, smaller ones term by term.  A line-search trial is one
@@ -56,23 +57,6 @@ from .model import LinkCoefficients, Policy, ScenarioConfig, link_b_factors
 # terms at K = 4 periods, near 1,000 at K = 10 and between 2,704 and
 # 3,831 at K = 1.
 RECURSION_MIN_TERMS = 2000
-
-
-def per_link_outage_exact(p: float, *, m: float, alpha0: float, B: float,
-                          N0: float, d: float, beta: float,
-                          omega: float) -> float:
-    """Exact single-link outage probability at transmit power p (W).
-
-    The squared envelope is gamma distributed with shape m and mean omega;
-    the link is in outage when B*log2(1 + gain * p / (N0 * B)) < alpha0.
-    Evaluates the regularized lower incomplete gamma at
-    b = m * (2**(alpha0/B) - 1) * N0 * B / (d**(-beta) * omega * p).
-    """
-    if not p > 0.0:
-        raise ValueError(f"transmit power must be > 0, got {p}")
-    gap = 2.0 ** (alpha0 / B) - 1.0
-    b = m * gap * N0 * B / (d ** (-beta) * omega * p)
-    return float(gammainc(m, b))
 
 
 def relay_recursion(weights, P):
@@ -548,16 +532,15 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         raise ValueError("user powers must be strictly positive")
 
     if mode == "exact":
-        f_u, f_r = link_b_factors(config)
-        b_u = f_u[:, :, None] / policy.p_u[:, None, :]
-        pe_user = gammainc(config.m, b_u)
-        pe_relay = np.ones((N, K))
-        on = policy.p_r > 0.0
         if np.any(policy.p_r < 0.0):
             raise ValueError("relay powers must be >= 0")
-        b_r = np.divide(f_r[:, None], policy.p_r, out=np.full((N, K), np.inf),
-                        where=on)
-        pe_relay[on] = gammainc(config.m, b_r[on])
+        f_u, f_r = link_b_factors(config)
+        pe_user = link_outage(config.m,
+                              f_u[:, :, None] / policy.p_u[:, None, :])
+        # a relay switched off never forwards: b = inf, outage one
+        pe_relay = link_outage(config.m, np.divide(
+            f_r[:, None], policy.p_r, out=np.full((N, K), np.inf),
+            where=policy.p_r > 0.0))
         pr_out, pr_A, pr_B = network_outage_exact(relay_miss_prob(pe_user),
                                                   pe_relay, M)
         return OutageReport(mode="exact", pr_out=pr_out, pr_A=pr_A, pr_B=pr_B,

@@ -928,7 +928,7 @@ def _snap_relays(config: ScenarioConfig, policy: Policy) -> Policy:
 
 def _nc_audit(config: ScenarioConfig, policy: Policy):
     feas = validate_policy(config, policy)
-    report = network_outage_report(config, policy, mode="exact")
+    report = feas.outage_report
     ee = energy_efficiency(config, policy, report.pr_out)
     return feas, report, ee
 

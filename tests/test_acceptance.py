@@ -27,6 +27,7 @@ from eecoop.model import (
     OUTAGE_AUDIT_RTOL,
     Policy,
     compute_link_coefficients,
+    link_outage,
     load_scenario,
     save_scenario,
     validate_policy,
@@ -35,7 +36,6 @@ from eecoop.montecarlo import RngSpec, estimate_outage
 from eecoop.outage import (
     network_outage_exact,
     network_outage_report,
-    per_link_outage_exact,
     relay_miss_prob,
 )
 from eecoop.solver import SolverOptions, dinkelbach_optimize, evaluate_V_prime
@@ -146,10 +146,7 @@ def test_02_rayleigh_closed_form():
     bs = np.logspace(-9.0, 1.0, 500)
     worst = 0.0
     for b in bs:
-        # unit bandwidth-rate gap, noise, distance and envelope leave the
-        # per-link argument equal to 1 / power
-        got = per_link_outage_exact(1.0 / b, m=1.0, alpha0=1.0, B=1.0,
-                                    N0=1.0, d=1.0, beta=1.0, omega=1.0)
+        got = float(link_outage(1.0, b))
         want = -math.expm1(-b)
         worst = max(worst, abs(got - want) / want)
     ok = worst <= 1e-12

@@ -336,6 +336,34 @@ class TestSimulate:
         assert json.loads(out)["error"]["kind"] == "invalid_input"
         assert calls == []
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("p_u", float("nan"), "non-finite"),
+        ("p_u", 0.0, "strictly positive"),
+        ("p_r", -0.01, ">= 0"),
+    ])
+    def test_policy_values_checked_before_drawing(self, tmp_path,
+                                                  monkeypatch, field, value,
+                                                  message):
+        """A NaN power, a zero user power or a negative relay power exits
+        2 before any trial is drawn, and no NaN reaches the JSON."""
+        cfg = load_scenario(REFERENCE)
+        policy = Policy(np.full((cfg.M, cfg.K), 0.01),
+                        np.full((cfg.N, cfg.K), 0.01),
+                        np.zeros((cfg.K, cfg.M, cfg.M)))
+        getattr(policy, field)[0, 0] = value
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(policy.to_dict()), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(eecoop.montecarlo, "_tally_chunk",
+                            lambda *args: calls.append(args))
+        code, out = run_cli(["simulate", "--scenario", REFERENCE,
+                             "--policy", bad, "--trials", 1000])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "invalid_input"
+        assert message in error["message"]
+        assert calls == []
+
 
 class TestSweep:
     def test_threshold_sweep_schema_and_monotonicity(self, toy_path):

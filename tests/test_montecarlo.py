@@ -222,10 +222,16 @@ class TestSimulatePeriod:
         assert np.all(res.decode_count == 0)
 
     def test_zero_power_handled(self):
-        cfg, pol = toy_point(M=1, N=1, p=0.0)
+        """A relay switched off never forwards, so every trial is an
+        outage; a zero user power is refused before any draw, as the
+        exact report refuses it."""
+        cfg, pol = toy_point(M=1, N=1)
+        pol.p_r[:] = 0.0
         res = estimate_outage(cfg, pol, 100, RngSpec(seed=0))
         assert res.outage_count.tolist() == [100]
-        assert np.all(res.decode_count == 0)
+        pol.p_u[:] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            estimate_outage(cfg, pol, 100, RngSpec(seed=0))
 
     def test_relay_decode_rate_matches_analytic(self):
         """Empirical decode frequency agrees with the closed form."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from eecoop import outage
 from eecoop.baselines import per_user_outage_exact, relay_assignment
@@ -15,6 +16,8 @@ from eecoop.model import (
     LinkCoefficients,
     Policy,
     compute_link_coefficients,
+    link_b_factors,
+    link_outage,
     load_scenario,
 )
 from eecoop.outage import (
@@ -25,7 +28,6 @@ from eecoop.outage import (
     network_outage_exact,
     network_outage_report,
     outage_tables,
-    per_link_outage_exact,
     relay_miss_prob,
     relay_recursion,
 )
@@ -117,7 +119,7 @@ class TestSubsetTables:
 
 class TestPerLinkOutage:
     # Regularized lower incomplete gamma P(a, b), frozen with mpmath at 40
-    # digits.  The scenario parameters are rigged so b = m / p.
+    # digits.
     GAMMAINC_GOLDEN = [
         (0.5, 1e-12, 1.12837916709513645e-06),
         (0.5, 0.3, 0.561421973919000145),
@@ -132,17 +134,35 @@ class TestPerLinkOutage:
 
     @pytest.mark.parametrize("m,b,expected", GAMMAINC_GOLDEN)
     def test_against_high_precision(self, m, b, expected):
-        # alpha0 = B makes the gap 1; unit noise, distance and envelope
-        # leave b = m / p.
-        p = m / b
-        got = per_link_outage_exact(p, m=m, alpha0=1.0, B=1.0, N0=1.0,
-                                    d=1.0, beta=1.0, omega=1.0)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert float(link_outage(m, b)) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
-            per_link_outage_exact(0.0, m=1.0, alpha0=1.0, B=1.0, N0=1.0,
-                                  d=1.0, beta=1.0, omega=1.0)
+    def test_rejects_negative_b(self):
+        with pytest.raises(ValueError, match="b >= 0"):
+            link_outage(1.0, np.array([0.5, -1e-300]))
+        with pytest.raises(ValueError, match="m must be > 0"):
+            link_outage(0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.5, 4.0, 6.0, 10.0])
+    def test_agrees_with_scipy(self, m):
+        """P within 1e-13 relative of SciPy over 20,000 log-uniform
+        b in [1e-12, 100] and both neighbours of b = m + 1, where the
+        series hands over to the continued fraction and each needs its
+        most terms; Q = 1 - P likewise where Q > 1e-3.  The edge values
+        follow SciPy: P(m, 0) = 0, P(m, inf) = 1 and NaN stays NaN, with
+        no RuntimeWarning."""
+        rng = np.random.default_rng(int(m * 10))
+        b = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-12), math.log(100.0), 20_000)),
+            [np.nextafter(m + 1.0, 0.0), np.nextafter(m + 1.0, np.inf),
+             0.0, np.inf, np.nan]])
+        p = link_outage(m, b)
+        np.testing.assert_allclose(p, gammainc(m, b), rtol=1e-13, atol=0.0)
+        assert p[-3] == 0.0 and p[-2] == 1.0 and math.isnan(p[-1])
+        q_want = gammaincc(m, b)
+        upper = q_want > 1e-3
+        np.testing.assert_allclose(1.0 - p[upper], q_want[upper],
+                                   rtol=1e-13, atol=0.0)
 
     def test_rayleigh_closed_form(self):
         """m = 1 reduces to 1 - exp(-b)."""
@@ -151,11 +171,10 @@ class TestPerLinkOutage:
             p = float(rng.uniform(0.05, 50.0))
             n0 = float(rng.uniform(1e-10, 1e-8))
             d = float(rng.uniform(2.0, 200.0))
-            got = per_link_outage_exact(p, m=1.0, alpha0=1e5, B=1.25e5,
-                                        N0=n0, d=d, beta=3.0, omega=1.0)
             gap = 2.0 ** 0.8 - 1.0
             b = gap * n0 * 1.25e5 * d ** 3 / p
-            assert got == pytest.approx(-math.expm1(-b), rel=1e-12)
+            assert float(link_outage(1.0, b)) == pytest.approx(
+                -math.expm1(-b), rel=1e-12)
 
     @pytest.fixture(scope="class")
     def reference_optimum(self):
@@ -164,23 +183,18 @@ class TestPerLinkOutage:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.5])
     def test_report_matches_scalar_link_by_link(self, reference_optimum, m):
-        """The exact report's per-link outage, which it forms from
-        link_b_factors, equals the scalar formula on every link of the
-        reference's optimized policy."""
+        """The exact report's per-link outage equals SciPy's regularized
+        incomplete gamma at b = factor / p, link_b_factors' factors, on
+        every link of the reference's optimized policy."""
         cfg, pol = reference_optimum
         cfg = cfg.replace(m=m)
         rep = network_outage_report(cfg, pol, mode="exact")
+        f_u, f_r = link_b_factors(cfg)
         for i, j, k in product(range(cfg.M), range(cfg.N), range(cfg.K)):
-            want = per_link_outage_exact(
-                pol.p_u[i, k], m=m, alpha0=cfg.alpha0, B=cfg.B,
-                N0=cfg.N0_h[i, j], d=cfg.d_h[i, j], beta=cfg.beta_h[i, j],
-                omega=cfg.omega_h[i, j])
+            want = gammainc(m, f_u[i, j] / pol.p_u[i, k])
             assert rep.pe_user[i, j, k] == pytest.approx(want, rel=1e-12)
         for j, k in product(range(cfg.N), range(cfg.K)):
-            want = per_link_outage_exact(
-                pol.p_r[j, k], m=m, alpha0=cfg.alpha0, B=cfg.B,
-                N0=cfg.N0_g[j], d=cfg.d_g[j], beta=cfg.beta_g[j],
-                omega=cfg.omega_g[j])
+            want = gammainc(m, f_r[j] / pol.p_r[j, k])
             assert rep.pe_relay[j, k] == pytest.approx(want, rel=1e-12)
 
     def test_approx_formula_and_bound(self):
@@ -188,15 +202,13 @@ class TestPerLinkOutage:
         per-link outage."""
         cfg = make_config(m=2.0)
         coeffs = compute_link_coefficients(cfg)
+        factor = link_b_factors(cfg)[0][0, 0]
         rng = np.random.default_rng(17)
         for _ in range(50):
             p = float(rng.uniform(1e-3, 100.0))
             approx = per_link_outage_approx(p, coeffs.c_u[0, 0], 2.0)
             assert approx == pytest.approx(coeffs.c_u[0, 0] * p ** -2.0)
-            exact = per_link_outage_exact(
-                p, m=2.0, alpha0=cfg.alpha0, B=cfg.B, N0=cfg.N0_h[0, 0],
-                d=cfg.d_h[0, 0], beta=cfg.beta_h[0, 0],
-                omega=cfg.omega_h[0, 0])
+            exact = float(link_outage(2.0, factor / p))
             assert approx >= exact - 1e-15
 
     def test_approx_tight_in_low_outage_regime(self):
