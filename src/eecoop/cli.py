@@ -30,7 +30,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -255,8 +254,12 @@ def _feasibility_block(report) -> dict:
             "messages": list(report.messages)}
 
 
-def _outage_block(config: ScenarioConfig, policy: Policy, mode: str) -> dict:
-    rep = network_outage_report(config, policy, mode=mode)
+def _outage_block(config: ScenarioConfig, policy: Policy, mode: str,
+                  exact) -> dict:
+    """The artifact's outage block; exact is the audit's exact report,
+    used as is in exact mode rather than evaluated a second time."""
+    rep = (exact if mode == "exact" else
+           network_outage_report(config, policy, mode=mode))
     return {"mode": mode,
             "pr_out": np.atleast_1d(rep.pr_out).tolist(),
             "pr_A": np.atleast_1d(rep.pr_A).tolist(),
@@ -277,7 +280,8 @@ def _solve_record(config: ScenarioConfig, res, mode: str) -> dict:
     }
     if res.policy is not None:
         record["policy"] = res.policy.to_dict()
-        record["outage"] = _outage_block(config, res.policy, mode)
+        record["outage"] = _outage_block(config, res.policy, mode,
+                                         res.outage_exact)
         record["transfers_total"] = float(res.policy.transfers.sum())
     if res.feasibility is not None:
         record["feasibility"] = _feasibility_block(res.feasibility)
@@ -354,6 +358,7 @@ def _run_points(points):
         workers = min(len(points), os.cpu_count() or 1)
         if workers > 1:
             try:
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     return list(pool.map(_point_worker, points))
             except (OSError, PermissionError, ImportError):
@@ -437,7 +442,8 @@ def cmd_validate(args) -> int:
         # approximate outage is undefined at a switched-off relay
         if args.outage_mode == "exact" or np.all(policy.p_r > 0.0):
             record["outage"] = _outage_block(config, policy,
-                                             args.outage_mode)
+                                             args.outage_mode,
+                                             report.outage_report)
     _emit(record, args.out)
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 

@@ -45,6 +45,10 @@ objective's and the outage rows' shares together.  The rows are checked
 box first, then causality, so a trial past either evaluates no table.
 The value takes the same operations with or without derivatives, so
 barrier_value is barrier_fgh's value bit for bit.
+
+The factorization is scipy.linalg.cho_factor, imported at the first one:
+a process that never solves (`validate`, `simulate --policy`) never loads
+SciPy.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     OUTAGE_AUDIT_RTOL,
@@ -609,6 +612,7 @@ class EEProblem:
 
 
 def _solve_newton_system(H, g):
+    import scipy.linalg as sla
     n = H.shape[0]
     base = max(float(np.trace(H)) / n, 1e-300)
     jitter = 0.0

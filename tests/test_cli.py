@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eecoop
 import eecoop.montecarlo
 from eecoop import cli
 from eecoop.model import Policy, load_scenario, save_scenario
@@ -268,6 +272,33 @@ class TestValidate:
             assert rec["outage"] is None
         else:
             assert rec["outage"]["mode"] == "exact"
+
+    @pytest.mark.parametrize("command", ["optimize", "validate"])
+    def test_exact_block_is_the_audits_report(self, toy_path, tmp_path,
+                                              monkeypatch, command):
+        """In exact mode the outage block reuses the audit's report, so the
+        CLI evaluates no outage report of its own."""
+        art = tmp_path / "result.json"
+        run_cli(["optimize", "--scenario", toy_path, "--out", art])
+        calls = []
+        report = cli.network_outage_report
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("mode"))
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "network_outage_report", counted)
+        argv = [command, "--scenario", toy_path]
+        if command == "validate":
+            argv += ["--policy", art]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["outage"]["mode"] == "exact"
+        assert calls == []
+        code, out = run_cli(argv + ["--approx"])
+        assert code == 0
+        assert json.loads(out)["outage"]["mode"] == "approx"
+        assert calls == ["approx"]
 
     def test_wrong_shape_policy_exits_2(self, toy_path, tmp_path):
         pol = Policy(np.ones((3, 2)), np.ones((2, 2)),
@@ -594,3 +625,72 @@ class TestAuditFailure:
         assert records[-1]["error"] == {
             "code": 4, "kind": "solver_failure",
             "message": "solver ended with status audit_failed"}
+
+
+# Runs one CLI call in a fresh interpreter and prints, as its last stdout
+# line, the exit code and the loaded modules under scipy.  No argument:
+# only `import eecoop.cli`.
+_LOADED_PROBE = """
+import json, sys
+from eecoop import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def loaded_modules(argv, cwd):
+    """(exit code, scipy modules) of one CLI call in a fresh interpreter;
+    pytest has loaded SciPy in this process already."""
+    root = str(Path(eecoop.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE,
+                           *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules
+
+
+@pytest.fixture(scope="module")
+def reference_optimum(tmp_path_factory):
+    """The reference optimize artifact, solved in a fresh interpreter, and
+    the scipy modules that solve loaded."""
+    tmp = tmp_path_factory.mktemp("loaded")
+    art = tmp / "optimize.json"
+    code, modules = loaded_modules(
+        ["optimize", "--scenario", REFERENCE, "--out", art], tmp)
+    assert code == 0
+    return art, modules
+
+
+class TestLoadedModules:
+    """SciPy is loaded at the first Newton factorization: commands that
+    never solve never load it."""
+
+    @pytest.mark.parametrize("argv", [[], ["--help"]])
+    def test_import_and_help(self, argv, tmp_path):
+        code, modules = loaded_modules(argv, tmp_path)
+        assert code == (0 if argv else None)
+        assert modules == []
+
+    def test_optimize_loads_scipy_linalg(self, reference_optimum):
+        _, modules = reference_optimum
+        assert "scipy.linalg" in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["simulate", "--trials", 1000, "--seed", 3]])
+    def test_policy_commands_load_no_scipy(self, argv, reference_optimum,
+                                           tmp_path):
+        art, _ = reference_optimum
+        code, modules = loaded_modules(
+            argv + ["--scenario", REFERENCE, "--policy", art,
+                    "--out", tmp_path / "out.json"], tmp_path)
+        assert code == 0
+        assert modules == []

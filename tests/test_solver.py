@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eecoop import outage
 from eecoop import solver as solver_mod
@@ -425,6 +426,57 @@ class TestLineSearch:
             assert len({p.tobytes() for p in points}) == len(points) \
                 >= 1 + iters
             assert any(np.array_equal(z, p) for p in points)
+
+
+class TestNewtonSystem:
+    """_solve_newton_system factorizes H, adding jitter * trace(H)/n to the
+    diagonal from 1e-12 up by factors of 100 while the factorization
+    fails, and gives up after 14 tries."""
+
+    @pytest.fixture()
+    def seen(self, monkeypatch):
+        """The matrices given to scipy.linalg.cho_factor, rebound to a
+        recording wrapper as the bench tracer rebinds it."""
+        seen = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        return seen
+
+    def test_singular_matrix_escalates_jitter(self, seen):
+        H = np.diag([2.0, 0.0, 4.0])  # PSD, an exact zero pivot
+        g = np.array([1.0, -3.0, 2.0])
+        x = solver_mod._solve_newton_system(H, g)
+        shifted = H + 1e-12 * 2.0 * np.eye(3)  # base = trace / n = 2
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[0], H)
+        np.testing.assert_array_equal(seen[1], shifted)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(x, g / np.diag(shifted), rtol=1e-14)
+
+    def test_unfactorizable_matrix_raises_after_14_tries(self, seen):
+        """A negative trace clamps the jitter's base to 1e-300, so no
+        jitter reaches the negative pivot.  (A NaN matrix is no test of
+        this path: with check_finite=False, OpenBLAS's potrf passes NaN
+        through without reporting a failed pivot.)"""
+        with pytest.raises(RuntimeError, match="could not be factorized"):
+            solver_mod._solve_newton_system(np.diag([1.0, -4.0]),
+                                            np.ones(2))
+        assert len(seen) == 14
+
+    def test_factorizes_through_scipy_linalg_attribute(self, seen):
+        """The solver looks cho_factor up on the scipy.linalg module at
+        each call, so a rebinding there (the bench tracer's) sees every
+        factorization."""
+        H = np.array([[4.0, 1.0], [1.0, 3.0]])
+        g = np.array([1.0, 2.0])
+        x = solver_mod._solve_newton_system(H, g)
+        assert len(seen) == 1
+        np.testing.assert_allclose(x, np.linalg.solve(H, g), rtol=1e-14)
 
 
 class TestUniformOutageLevel:
