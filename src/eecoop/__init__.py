@@ -16,7 +16,6 @@ from .model import (
     validate_policy,
     load_scenario,
     save_scenario,
-    zero_policy,
 )
 from .outage import (
     OutageReport,
@@ -28,22 +27,16 @@ from .outage import (
     build_outage_tables,
 )
 from .solver import (
-    SolverOptions,
     SolveResult,
     InfeasibleError,
     dinkelbach_optimize,
-    evaluate_V_prime,
     inner_solve,
 )
 from .baselines import (
     PolicyEvaluation,
-    BruteForceResult,
-    GridSpec,
-    brute_force_optimize,
     depleted_energy_policy,
     no_transfer_policy,
     nonc_df_policy,
-    per_user_outage_exact,
     relay_assignment,
     uniform_power_policy,
 )

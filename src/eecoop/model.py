@@ -334,13 +334,6 @@ class Policy:
                       np.asarray(d["transfers"], dtype=float))
 
 
-def zero_policy(config: ScenarioConfig, p_user=0.0, p_relay=0.0) -> Policy:
-    """Policy with constant powers and no transfers."""
-    return Policy(np.full((config.M, config.K), float(p_user)),
-                  np.full((config.N, config.K), float(p_relay)),
-                  np.zeros((config.K, config.M, config.M)))
-
-
 @dataclass
 class EnergyLedger:
     """Per-user, per-period stored energy available for transmission.
@@ -443,6 +436,11 @@ P_MIN = 1e-9
 OUTAGE_AUDIT_RTOL = 1e-6
 
 
+def outage_limit(config: ScenarioConfig) -> float:
+    """The largest exact outage per period that passes the audit."""
+    return config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)
+
+
 def check_policy_arrays(config: ScenarioConfig, policy: Policy) -> None:
     """Raise ValueError unless the policy's arrays have the scenario's
     shapes and only finite entries."""
@@ -521,8 +519,8 @@ def validate_policy(config: ScenarioConfig, policy: Policy,
     if check_outage and policy.outage_defined:
         from .outage import network_outage_report
         report = network_outage_report(config, policy, mode="exact")
-        limit = config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)
-        over = float(np.max(report.pr_out - limit, initial=0.0))
+        over = float(np.max(report.pr_out - outage_limit(config),
+                            initial=0.0))
         if over > 0.0:
             worst["outage"] = over
             k = int(np.argmax(report.pr_out))

@@ -31,6 +31,8 @@ start far below the centre costs one step per doubling.  Each later inner
 solve starts from the previous solve's optimum at that solve's final t, so
 it re-centres at the last stage instead of walking back to the t = T0
 centre (Boyd & Vandenberghe, Convex Optimization, Sec. 9.5, 11.3, 11.3.1).
+The outer loop stops once |bits - q * energy| <= q_tol(config); that
+tolerance and the barrier method's are fixed, and no caller sets them.
 Solutions are audited against the exact outage expression afterwards.
 
 A barrier pass assembles all periods and all rows at once.  Each outage
@@ -43,8 +45,8 @@ Jacobian J of the soft rows, so their Hessian is one product
 table Hessians enter the Newton matrix in one scatter, weighted by the
 objective's and the outage rows' shares together.  The rows are checked
 box first, then causality, so a trial past either evaluates no table.
-The value takes the same operations with or without derivatives, so
-barrier_value is barrier_fgh's value bit for bit.
+Every pass takes derivatives: the line search compares barrier_fgh values,
+and an accepted trial's derivatives give the next Newton step.
 
 The factorization is scipy.linalg.cho_factor, imported at the first one:
 a process that never solves (`validate`, `simulate --policy`) never loads
@@ -59,7 +61,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    OUTAGE_AUDIT_RTOL,
     P_MIN,
     TOL_FEAS,
     LinkCoefficients,
@@ -68,6 +69,7 @@ from .model import (
     compute_link_coefficients,
     energy_efficiency,
     energy_ledger,
+    outage_limit,
     total_energy,
     validate_policy,
 )
@@ -98,22 +100,9 @@ class InfeasibleError(Exception):
         super().__init__(f"infeasible ({binding_class}) {detail}".strip())
 
 
-@dataclass
-class SolverOptions:
-    """The Dinkelbach stop tolerance, the one solver setting a caller picks.
-
-    The barrier method's tolerances and loop limits are module constants,
-    and the value its line search compares comes from the same pass as the
-    Newton step's derivatives.
-    """
-
-    q_tol: float = None        # |numerator - q*denominator| stop, bits;
-                               # defaults to 1e-6 * M * K * alpha0 * T
-
-    def q_tol_abs(self, config: ScenarioConfig) -> float:
-        if self.q_tol is not None:
-            return self.q_tol
-        return 1e-6 * config.M * config.K * config.alpha0 * config.T
+def q_tol(config: ScenarioConfig) -> float:
+    """The Dinkelbach stop: |numerator - q * denominator| in bits."""
+    return 1e-6 * config.M * config.K * config.alpha0 * config.T
 
 
 @dataclass
@@ -152,10 +141,6 @@ class Layout:
         i, j = self.pairs.T
         E[:, i, j] = z[self.pair_mat].T
         return E
-
-    def pack_transfers(self, E, z) -> None:
-        i, j = self.pairs.T
-        z[self.pair_mat] = E[:, i, j].T
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +371,6 @@ class EEProblem:
                             + np.arange(n_tables)[:, None, None])
 
         # Objective pieces; the depleted users spend their whole harvest.
-        scale = M * K * config.alpha0 * T
         exp_idx = list(lay.relay_idx.ravel())
         exp_base = [T] * (N * K)
         if depleted:
@@ -396,10 +380,10 @@ class EEProblem:
             exp_idx += list(lay.user_idx.ravel())
             exp_base += [T] * (M * K)
         self.objective = Objective(
-            scale, [config.alpha0 * T * w for w in self.table_weights],
+            M * K * config.alpha0 * T,
+            [config.alpha0 * T * w for w in self.table_weights],
             exp_idx, exp_base, lay.pair_mat.ravel(),
             [1.0 - config.eta] * lay.pair_mat.size, energy_const)
-        self.scale = scale
 
         # phase-1 scaling per soft class
         self.soft_sigma = {
@@ -427,17 +411,16 @@ class EEProblem:
                          np.array([p[1][v:].T for p in parts]),
                          np.array([p[2][:, v:, v:] for p in parts]))
 
-    def _barrier(self, z, t, derivs, q=None, sig=None):
-        """One barrier pass: (value, grad, H), or (value, None, None)
-        without derivs.
+    def _barrier(self, z, t, q=None, sig=None):
+        """One barrier pass: (value, grad, H), or (INF, None, None) outside
+        the domain.
 
         Without sig it is the inner barrier t * f0(z) + phi(z) at parameter
         q.  With sig (class -> slack scale) it is the phase-1 barrier
         t * s + phi(z, s) at z = [z, s].  The rows are checked in the order
         box, causality, outage, and the pass is INF at the first that
         fails, so outside the box or past a causality row no table is
-        evaluated.  The value takes the same operations with or without
-        derivatives, so barrier_value rounds exactly like barrier_fgh.
+        evaluated.
 
         The box rows are diagonal.  The causality and outage rows and the
         slack column form one Jacobian J, which adds J^T (1/d) to the
@@ -459,24 +442,19 @@ class EEProblem:
             g, E = self.energy_rows.terms(z)
             if not inside(g, "causality"):
                 return INF, None, None
-        ev = self.tables_at(z, derivs)
+        ev = self.tables_at(z, derivs=True)
         if not inside(self.outage_cons.values(ev), "outage"):
             return INF, None, None
-        grad = H = hess_w = None
-        if derivs:
-            grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
-            hess_w = (1.0 / ds[-1]).reshape(ev.idx.shape[0], -1).T
+        grad, H = np.zeros(z.size), np.zeros((z.size, z.size))
+        hess_w = (1.0 / ds[-1]).reshape(ev.idx.shape[0], -1).T
         if sig is None:
             f = self.objective.fgh(z, q, ev, grad, H, t, hess_w)
         else:
             f = t * z[-1]
-            if derivs:
-                grad[-1] = t
-                ev.add_hessians(H, hess_w)
+            grad[-1] = t
+            ev.add_hessians(H, hess_w)
         for d in ds:
             f -= float(np.log(d).sum())
-        if not derivs:
-            return f, None, None
         inv = 1.0 / margins
         grad[:len(inv)] += inv[:, 0] - inv[:, 1]
         _diagonal(H)[:len(inv)] += inv[:, 0] ** 2 + inv[:, 1] ** 2
@@ -496,18 +474,17 @@ class EEProblem:
         return f, grad, H
 
     def barrier_fgh(self, z, q, t):
-        return self._barrier(z, t, True, q)
+        return self._barrier(z, t, q)
 
     def barrier_value(self, z, q, t):
-        return self._barrier(z, t, False, q)[0]
+        # barrier_fgh's value by construction; no solver code calls it, and
+        # it stays only because the benchmark's tracer wraps this name
+        return self.barrier_fgh(z, q, t)[0]
 
     def soft_barrier_fgh(self, zs, t, sig):
         """Phase-1 barrier at zs = [z, s] with its derivatives; sig scales
         the slack per constraint class."""
-        return self._barrier(zs, t, True, sig=sig)
-
-    def soft_barrier_value(self, zs, t, sig):
-        return self._barrier(zs, t, False, sig=sig)[0]
+        return self._barrier(zs, t, sig=sig)
 
     def constraint_values(self, z):
         """(soft class, g) per constraint block; g < 0 is strictly inside."""
@@ -802,56 +779,6 @@ def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# public evaluation op
-
-
-def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
-                     coeffs: LinkCoefficients = None):
-    """Inner objective at a transformed point, with derivatives.
-
-    x_tilde is (M+N, K) log powers (user rows first), transfers is
-    (K, M, M) joules.  Returns (value, (grad_x, grad_E), hvp) where value
-    is in bits (outage-weighted bits plus q times energy), grads match the
-    input shapes, and hvp maps (vx, vE) to Hessian products of the same
-    shapes.  The Hessian is positive semidefinite.
-    """
-    config_M, K = config.M, config.K
-    coeffs = coeffs or compute_link_coefficients(config)
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    transfers = np.asarray(transfers, dtype=float)
-    if x_tilde.shape != (config.M + config.N, K):
-        raise ValueError("x_tilde must have shape (M+N, K)")
-    if transfers.shape != (K, config_M, config_M):
-        raise ValueError("transfers must have shape (K, M, M)")
-    problem = EEProblem(config, coeffs)
-    lay = problem.layout
-    z = np.zeros(lay.dim)
-    z[lay.user_idx] = x_tilde[:config.M]
-    z[lay.relay_idx] = x_tilde[config.M:]
-    lay.pack_transfers(transfers, z)
-    grad, H = np.zeros(lay.dim), np.zeros((lay.dim, lay.dim))
-    value = problem.objective.fgh(z, q, problem.tables_at(z, derivs=True),
-                                  grad, H) * problem.scale
-    grad = grad * problem.scale
-    H = H * problem.scale
-
-    def split(vec):
-        gx = np.empty_like(x_tilde)
-        gx[:config.M] = vec[lay.user_idx]
-        gx[config.M:] = vec[lay.relay_idx]
-        return gx, lay.transfer_array(vec)
-
-    def hvp(vx, vE):
-        v = np.zeros(lay.dim)
-        v[lay.user_idx] = np.asarray(vx, dtype=float)[:config.M]
-        v[lay.relay_idx] = np.asarray(vx, dtype=float)[config.M:]
-        lay.pack_transfers(np.asarray(vE, dtype=float), v)
-        return split(H @ v)
-
-    return value, split(grad), hvp
-
-
-# ---------------------------------------------------------------------------
 # Dinkelbach outer loop
 
 
@@ -899,13 +826,7 @@ def _cleanup_transfers(config: ScenarioConfig, policy: Policy) -> Policy:
     """
     pol = policy.copy()
     E = pol.transfers
-    for k in range(config.K):
-        for i in range(config.M):
-            for j in range(i + 1, config.M):
-                c = min(E[k, i, j], E[k, j, i])
-                if c > 0.0:
-                    E[k, i, j] -= c
-                    E[k, j, i] -= c
+    E -= np.minimum(E, E.transpose(0, 2, 1))
     tiny = (E > 0.0) & (E < 1e-9)
     if np.any(tiny):
         trial = pol.copy()
@@ -918,14 +839,14 @@ def _cleanup_transfers(config: ScenarioConfig, policy: Policy) -> Policy:
 
 def _snap_relays(config: ScenarioConfig, policy: Policy) -> Policy:
     """Zero relay powers that sit at the numerical floor, if exact outage
-    still passes the audit's limit pr_out_0 * (1 + OUTAGE_AUDIT_RTOL)."""
+    still passes the audit's limit."""
     near_zero = policy.p_r < 10.0 * P_MIN
     if not np.any(near_zero):
         return policy
     trial = policy.copy()
     trial.p_r[near_zero] = 0.0
     report = network_outage_report(config, trial, mode="exact")
-    if np.all(report.pr_out <= config.pr_out_0 * (1.0 + OUTAGE_AUDIT_RTOL)):
+    if np.all(report.pr_out <= outage_limit(config)):
         return trial
     return policy
 
@@ -937,8 +858,7 @@ def _nc_audit(config: ScenarioConfig, policy: Policy):
     return feas, report, ee
 
 
-def dinkelbach_optimize(config: ScenarioConfig,
-                        options: SolverOptions = None, *,
+def dinkelbach_optimize(config: ScenarioConfig, *,
                         transfers: bool = True, depleted: bool = False,
                         tables_weights=None, audit=None) -> SolveResult:
     """Maximize energy efficiency and audit the result with exact outage.
@@ -958,9 +878,8 @@ def dinkelbach_optimize(config: ScenarioConfig,
     relaying baseline).  audit overrides the exact feasibility check; the
     default audits the network-coded outage.
     """
-    options = options or SolverOptions()
     coeffs = compute_link_coefficients(config)
-    q_tol = options.q_tol_abs(config)
+    v_tol = q_tol(config)
     audit = audit or _nc_audit
 
     coded = tables_weights is None
@@ -989,7 +908,7 @@ def dinkelbach_optimize(config: ScenarioConfig,
         V = bits - q * energy
         trace.append((q, V, res.newton_iters))
         total_iters += res.newton_iters
-        if abs(V) <= q_tol:
+        if abs(V) <= v_tol:
             status = "converged"
             break
         q = bits / energy

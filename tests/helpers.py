@@ -1,5 +1,5 @@
-"""Shared scenario builders and closed-form and expansion oracles for the
-test suite."""
+"""Shared scenario builders, solver probes, and closed-form and expansion
+oracles for the test suite."""
 
 import dataclasses
 import math
@@ -7,9 +7,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from eecoop.baselines import relay_assignment
-from eecoop.model import P_MIN, Policy, ScenarioConfig
+from eecoop.baselines import _per_user_report, relay_assignment
+from eecoop.model import (
+    P_MIN,
+    LinkCoefficients,
+    Policy,
+    ScenarioConfig,
+    compute_link_coefficients,
+)
 from eecoop.outage import MonomialTable, build_outage_tables
+from eecoop.solver import EEProblem
 
 
 def make_config(**over):
@@ -60,6 +67,18 @@ def tiled_config(ref: ScenarioConfig, M: int, N: int, K: int):
         Eu_0=ref.Eu_0[users], **first_hop, **second_hop)
 
 
+def zero_policy(config: ScenarioConfig, p_user=0.0, p_relay=0.0) -> Policy:
+    """Policy with constant powers and no transfers."""
+    return Policy(np.full((config.M, config.K), float(p_user)),
+                  np.full((config.N, config.K), float(p_relay)),
+                  np.zeros((config.K, config.M, config.M)))
+
+
+def per_user_outage_exact(config: ScenarioConfig, policy: Policy):
+    """Exact per-user outage, shape (M, K), for per-message DF relaying."""
+    return _per_user_report(config, policy).pr_out
+
+
 def per_user_tables(coeffs, M, N):
     """Plain relaying's tables: user i's is the A+B table of the one-user
     network of user i and its relays (relay_assignment)."""
@@ -90,6 +109,58 @@ def inverse_transform_policy(x_tilde, transfers, M: int) -> Policy:
     x_tilde = np.asarray(x_tilde, dtype=float)
     p = np.exp(x_tilde)
     return Policy(p_u=p[:M], p_r=p[M:], transfers=np.array(transfers))
+
+
+def evaluate_V_prime(q: float, x_tilde, transfers, config: ScenarioConfig,
+                     coeffs: LinkCoefficients = None):
+    """Inner objective at a transformed point, with derivatives.
+
+    x_tilde is (M+N, K) log powers (user rows first), transfers is
+    (K, M, M) joules.  Returns (value, (grad_x, grad_E), hvp) where value
+    is in bits (outage-weighted bits plus q times energy), grads match the
+    input shapes, and hvp maps (vx, vE) to Hessian products of the same
+    shapes.  The Hessian is positive semidefinite.
+    """
+    config_M, K = config.M, config.K
+    coeffs = coeffs or compute_link_coefficients(config)
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    transfers = np.asarray(transfers, dtype=float)
+    if x_tilde.shape != (config.M + config.N, K):
+        raise ValueError("x_tilde must have shape (M+N, K)")
+    if transfers.shape != (K, config_M, config_M):
+        raise ValueError("transfers must have shape (K, M, M)")
+    problem = EEProblem(config, coeffs)
+    lay = problem.layout
+    sender, receiver = lay.pairs.T
+
+    def pack_transfers(E, z):
+        z[lay.pair_mat] = E[:, sender, receiver].T
+
+    z = np.zeros(lay.dim)
+    z[lay.user_idx] = x_tilde[:config.M]
+    z[lay.relay_idx] = x_tilde[config.M:]
+    pack_transfers(transfers, z)
+    scale = problem.objective.scale
+    grad, H = np.zeros(lay.dim), np.zeros((lay.dim, lay.dim))
+    value = problem.objective.fgh(z, q, problem.tables_at(z, derivs=True),
+                                  grad, H) * scale
+    grad = grad * scale
+    H = H * scale
+
+    def split(vec):
+        gx = np.empty_like(x_tilde)
+        gx[:config.M] = vec[lay.user_idx]
+        gx[config.M:] = vec[lay.relay_idx]
+        return gx, lay.transfer_array(vec)
+
+    def hvp(vx, vE):
+        v = np.zeros(lay.dim)
+        v[lay.user_idx] = np.asarray(vx, dtype=float)[:config.M]
+        v[lay.relay_idx] = np.asarray(vx, dtype=float)[config.M:]
+        pack_transfers(np.asarray(vE, dtype=float), v)
+        return split(H @ v)
+
+    return value, split(grad), hvp
 
 
 def soft_values_scaled(problem, z):

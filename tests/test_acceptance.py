@@ -17,7 +17,6 @@ import numpy as np
 
 from eecoop import cli
 from eecoop.baselines import (
-    brute_force_optimize,
     depleted_energy_policy,
     no_transfer_policy,
     nonc_df_policy,
@@ -38,8 +37,9 @@ from eecoop.outage import (
     network_outage_report,
     relay_miss_prob,
 )
-from eecoop.solver import SolverOptions, dinkelbach_optimize, evaluate_V_prime
-from helpers import make_config, solver_toy
+from eecoop.solver import dinkelbach_optimize, q_tol
+from helpers import evaluate_V_prime, make_config, solver_toy
+from oracle import brute_force_optimize
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
     / "reference_m2n4.json"
@@ -286,7 +286,6 @@ BRUTE_FORCE_TOYS = (
 
 
 def test_06_optimizer_matches_oracle():
-    opts = SolverOptions()
     gaps = []
     ok = True
     for kw in BRUTE_FORCE_TOYS:
@@ -303,7 +302,7 @@ def test_06_optimizer_matches_oracle():
                      for i in range(len(qs) - 1))
         v_final = abs(dk.trace[-1][1])
         ok = ok and gap <= 0.01 and q_mono \
-            and v_final <= opts.q_tol_abs(cfg)
+            and v_final <= q_tol(cfg)
         gaps.append(f"{gap:.2%}")
     report("06", ok,
            f"optimizer-vs-oracle: {len(BRUTE_FORCE_TOYS)} toys, EE gaps "

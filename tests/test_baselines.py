@@ -10,20 +10,18 @@ import numpy as np
 import pytest
 
 from helpers import (
+    per_user_outage_exact,
     per_user_outage_product,
     per_user_tables,
     solver_toy,
     tiled_config,
 )
+from oracle import GridSpec, brute_force_optimize, grid_dimension_guard
 from eecoop import outage
 from eecoop.baselines import (
-    GridSpec,
-    brute_force_optimize,
     depleted_energy_policy,
-    grid_dimension_guard,
     no_transfer_policy,
     nonc_df_policy,
-    per_user_outage_exact,
     relay_assignment,
     uniform_power_policy,
     _just_in_time,

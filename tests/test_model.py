@@ -16,9 +16,8 @@ from eecoop.model import (
     snr_gap,
     total_energy,
     validate_policy,
-    zero_policy,
 )
-from helpers import make_config
+from helpers import make_config, zero_policy
 
 
 class TestScenarioConfig:

@@ -14,12 +14,12 @@ import pytest
 from scipy.special import gammainc
 
 import eecoop.montecarlo
-from eecoop.model import Policy, load_scenario, zero_policy, total_energy
+from eecoop.model import Policy, load_scenario, total_energy
 from eecoop.montecarlo import (MonteCarloResult, RngSpec, estimate_outage,
                                sample_channel_power_gain, wilson_interval)
 from eecoop.outage import network_outage_report
 
-from helpers import solver_toy
+from helpers import solver_toy, zero_policy
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
     / "reference_m2n4.json"

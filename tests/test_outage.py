@@ -11,7 +11,7 @@ import pytest
 from scipy.special import gammainc, gammaincc
 
 from eecoop import outage
-from eecoop.baselines import per_user_outage_exact, relay_assignment
+from eecoop.baselines import relay_assignment
 from eecoop.model import (
     LinkCoefficients,
     Policy,
@@ -37,6 +37,7 @@ from helpers import (
     expanded_per_user_tables,
     make_config,
     per_link_outage_approx,
+    per_user_outage_exact,
     per_user_tables,
     tiled_config,
 )
