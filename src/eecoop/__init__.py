@@ -41,7 +41,6 @@ from .baselines import (
     uniform_power_policy,
 )
 from .montecarlo import (
-    RngSpec,
     MonteCarloResult,
     sample_channel_power_gain,
     estimate_outage,

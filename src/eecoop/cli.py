@@ -46,7 +46,7 @@ from .model import (
     total_energy,
     validate_policy,
 )
-from .montecarlo import RngSpec, estimate_outage
+from .montecarlo import estimate_outage
 from .outage import network_outage_report
 from .solver import dinkelbach_optimize
 
@@ -402,14 +402,13 @@ def cmd_simulate(args) -> int:
             return _error_record("solver_failure", EXIT_SOLVER,
                                  f"solver ended with status {res.status}")
         policy, source = res.policy, "optimized"
-    mc = estimate_outage(config, policy, trials=args.trials,
-                         rng=RngSpec(args.seed))
+    mc = estimate_outage(config, policy, trials=args.trials, seed=args.seed)
     exact = network_outage_report(config, policy, mode="exact")
     record = {
         "command": "simulate",
         "trials": int(args.trials),
         "seed": int(args.seed),
-        "streams": int(mc.streams),
+        "streams": 1,     # always 1: stored artifacts keep their bytes
         "policy_source": source,
         "pr_out_empirical": mc.pr_out.tolist(),
         "ci_lo": mc.ci_lo.tolist(),

@@ -21,16 +21,15 @@ A relay decodes when every first-hop link of the period succeeds; the
 destination recovers all messages when at least M relays both decoded
 and got their forward through.
 
-Randomness is counter-based (Philox) and keyed by an explicit
-(seed, stream_id) pair, so any draw sequence is reproducible and streams
-with distinct ids are independent.  ``estimate_outage`` cuts each stream
-into chunks of trials; chunk c of stream s draws from
-``Philox(key=(seed, stream_id + s)).jumped(c)``, a substream disjoint
+Randomness is counter-based (Philox): a simulation draws one stream
+keyed (seed, 0), so any draw sequence is reproducible from the seed.
+``estimate_outage`` cuts the trials into chunks of ``_CHUNK``; chunk c
+draws from ``Philox(key=(seed, 0)).jumped(c)``, a substream disjoint
 from every other chunk's (Salmon et al., SC'11).  The chunks run on a
 thread pool, since NumPy's gamma sampler releases the GIL, and their
-integer counts are summed, so the result depends on the seed, stream id,
-stream count and chunk size, and never on the number of threads.  A
-stream that fits in one chunk draws the unjumped stream.
+integer counts are summed, so the result depends on the seed and on
+``_CHUNK``, and never on the number of threads.  A run that fits in one
+chunk draws the unjumped stream.
 
 Per period a chunk draws its first-hop gains, then its second-hop gains,
 each in row order and in blocks of ``_BLOCK`` trials.  Back-to-back
@@ -53,48 +52,21 @@ from .model import (ScenarioConfig, Policy, check_policy_arrays, snr_gap,
 
 _U64 = 2 ** 64
 _Z95 = 1.959963984540054
+_CHUNK = 1 << 16              # trials per substream; keys the draws
 _BLOCK = 8192                 # trials drawn and tallied per block
 _INF_BITS = np.float64(np.inf).view(np.int64)
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Reproducible random source: a 64-bit seed plus a stream id.
-
-    Identical (seed, stream_id) pairs reproduce identical draw
-    sequences; distinct stream ids give statistically independent
-    streams for the same seed.
-    """
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-            if not 0 <= int(v) < _U64:
-                raise ValueError(f"{name} must fit in 64 bits")
-
-    def generator(self, jumps: int = 0) -> np.random.Generator:
-        """Generator on this stream advanced by jumps * 2**128 draws;
-        jumps=0 is the stream itself."""
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key).jumped(jumps))
-
-    def stream(self, offset: int) -> "RngSpec":
-        return RngSpec(self.seed, (self.stream_id + offset) % _U64)
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngSpec):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngSpec(int(rng)).generator()
-    raise ValueError("rng must be a Generator, RngSpec, or integer seed")
+def _generator(seed, jumps: int = 0) -> np.random.Generator:
+    """Generator on the stream keyed (seed, 0), advanced by
+    jumps * 2**128 draws; jumps=0 is the stream itself.  A seed that is
+    not an integer in [0, 2**64) raises ValueError."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer")
+    if not 0 <= int(seed) < _U64:
+        raise ValueError("seed must fit in 64 bits")
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key).jumped(jumps))
 
 
 def sample_channel_power_gain(omega, m, rng, size=None, out=None):
@@ -103,11 +75,13 @@ def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     Returns gamma variates with shape m and scale omega / m, so the mean
     gain is omega and the variance omega**2 / m.  omega may be an array;
     it broadcasts against size, and without size (or out) the draws take
-    omega's shape.  rng may be a numpy Generator, an RngSpec, or a plain
-    integer seed.  out, a C-contiguous float array, receives the draws
-    and is returned.  The values and stream position equal those of
+    omega's shape.  rng is a numpy Generator or an integer seed.  out, a
+    C-contiguous float array, receives the draws and is returned.  The
+    values and stream position equal those of
     ``Generator.gamma(m, omega / m, size)`` bit for bit, since that is
-    the same standard gamma variate times the same scale.
+    the same standard gamma variate times the same scale.  The simulator
+    draws in ``_tally_chunk`` and never calls this; it stays because the
+    benchmark's tracer wraps the name.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
@@ -115,7 +89,7 @@ def sample_channel_power_gain(omega, m, rng, size=None, out=None):
     m = float(m)
     if not m >= 0.5:
         raise ValueError(f"m must be >= 0.5, got {m}")
-    gen = _as_generator(rng)
+    gen = rng if isinstance(rng, np.random.Generator) else _generator(rng)
     if size is None and out is None:
         size = omega.shape
     draws = gen.standard_gamma(m, size=size, out=out)
@@ -186,7 +160,6 @@ class MonteCarloResult:
     """
 
     trials: int
-    streams: int
     pr_out: np.ndarray       # (K,) empirical outage probability
     ci_lo: np.ndarray        # (K,) Wilson 95% lower bound
     ci_hi: np.ndarray        # (K,) Wilson 95% upper bound
@@ -197,18 +170,18 @@ class MonteCarloResult:
     ee: float                # bits / e_tot
 
 
-def _tally_chunk(config, thr_h, thr_g, spec, chunk, n):
+def _tally_chunk(config, thr_h, thr_g, seed, chunk, n):
     """Simulate n trials of every period on chunk substream `chunk` of
-    spec against the (K, M, N) and (K, N) link thresholds of the raw
-    standard gamma draws; returns the (outage_count, decode_count)
-    tallies.
+    the seed's stream against the (K, M, N) and (K, N) link thresholds
+    of the raw standard gamma draws; returns the (outage_count,
+    decode_count) tallies.
 
     Per period the draws are the (n, M, N) first-hop gains then the
     (n, N) second-hop gains, each drawn in row order in blocks of at
     most _BLOCK trials.
     """
     M, N, m = config.M, config.N, config.m
-    gen = spec.generator(chunk)
+    gen = _generator(seed, chunk)
     block = min(n, _BLOCK)
     gains_h = np.empty((block, M, N))
     gains_g = np.empty((block, N))
@@ -237,42 +210,27 @@ def _tally_chunk(config, thr_h, thr_g, spec, chunk, n):
     return outage_count, decode_count
 
 
-def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
-                    n_streams: int = 1,
-                    chunk_size: int = 1 << 16) -> MonteCarloResult:
+def estimate_outage(config: ScenarioConfig, policy: Policy, trials,
+                    seed) -> MonteCarloResult:
     """Estimate per-period outage and EE over repeated channel draws.
 
-    rng is an RngSpec or a plain integer seed; a bare Generator is
-    refused, because it cannot be split into chunk substreams.  Trials
-    are split across n_streams independent streams (ids rng.stream_id +
-    0 .. n_streams - 1, earlier streams take the remainder), and each
-    stream into chunks of at most chunk_size trials; chunk c draws from
-    the stream's generator jumped c times.  The chunks run on up to
-    os.cpu_count() threads and their integer counts are summed, so the
-    result is the same for any thread count, and running the streams in
-    separate workers reproduces it exactly under the same partitioning.
-    chunk_size is part of the reproducibility key: each chunk draws all
-    its first-hop gains before its second-hop gains, so another chunk
-    size gives another realization.  The block size within a chunk
+    The trials draw one stream keyed (seed, 0), in chunks of _CHUNK
+    trials (the last one partial); chunk c draws from the stream jumped
+    c times.  The chunks run on up to os.cpu_count() threads and their
+    integer counts are summed, so the result is the same for any thread
+    count.  _CHUNK is part of the reproducibility key: each chunk draws
+    all its first-hop gains before its second-hop gains, so another
+    chunk size gives another realization.  The block size within a chunk
     (_BLOCK) is not part of it: the blocks draw in stream order, so any
-    block size gives the same counts.  A policy whose arrays do not
-    match the scenario's (M, N, K), hold a non-finite entry, a user power
-    <= 0 or a negative relay power raises ValueError before any draw.
+    block size gives the same counts.  A seed that is not an integer in
+    [0, 2**64), a policy whose arrays do not match the scenario's
+    (M, N, K), hold a non-finite entry, a user power <= 0 or a negative
+    relay power raises ValueError before any draw.
     """
+    _generator(seed)            # refuses a bad seed before any work
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n_streams = int(n_streams)
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
-    chunk_size = int(chunk_size)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = RngSpec(int(rng))
-    if not isinstance(rng, RngSpec):
-        raise ValueError("rng must be an RngSpec or an integer seed; a "
-                         "Generator cannot be split into chunk substreams")
 
     check_policy_arrays(config, policy)
     if np.any(policy.p_u <= 0.0):
@@ -283,13 +241,8 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
     m_h, m_g = _success_margins(config, policy)
     thr_h = _thresholds(config.omega_h / config.m, m_h)
     thr_g = _thresholds(config.omega_g / config.m, m_g)
-    base, rem = divmod(trials, n_streams)
-    jobs = []
-    for s in range(n_streams):
-        spec = rng.stream(s)
-        todo = base + (1 if s < rem else 0)
-        for chunk, start in enumerate(range(0, todo, chunk_size)):
-            jobs.append((spec, chunk, min(chunk_size, todo - start)))
+    jobs = [(seed, chunk, min(_CHUNK, trials - start))
+            for chunk, start in enumerate(range(0, trials, _CHUNK))]
     workers = min(len(jobs), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tallies = list(pool.map(
@@ -303,8 +256,7 @@ def estimate_outage(config: ScenarioConfig, policy: Policy, trials, rng,
         (trials - outage_count).sum()) / trials
     e_tot = total_energy(config, policy)
     ee = bits / e_tot if e_tot > 0 else math.inf
-    return MonteCarloResult(trials=trials, streams=n_streams,
-                            pr_out=pr_out, ci_lo=ci_lo, ci_hi=ci_hi,
-                            outage_count=outage_count,
+    return MonteCarloResult(trials=trials, pr_out=pr_out, ci_lo=ci_lo,
+                            ci_hi=ci_hi, outage_count=outage_count,
                             decode_count=decode_count,
                             bits=bits, e_tot=e_tot, ee=ee)

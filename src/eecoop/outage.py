@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LinkCoefficients, Policy, ScenarioConfig, link_b_factors,
-                    link_outage)
+from .model import (LinkCoefficients, Policy, ScenarioConfig,
+                    compute_link_coefficients, link_b_factors, link_outage)
 
 # Tables with more terms than this are never expanded and evaluate by
 # OutageRecursion, smaller ones term by term.  A line-search trial is one
@@ -517,8 +517,7 @@ class OutageReport:
 
 
 def network_outage_report(config: ScenarioConfig, policy: Policy,
-                          mode: str = "exact",
-                          coeffs: LinkCoefficients = None) -> OutageReport:
+                          mode: str = "exact") -> OutageReport:
     """Evaluate per-period outage for a policy, exactly or approximately.
 
     Exact mode accepts relay powers equal to zero (the relay never forwards,
@@ -550,9 +549,7 @@ def network_outage_report(config: ScenarioConfig, policy: Policy,
         if np.any(policy.p_r <= 0.0):
             raise ValueError("approximate mode needs strictly positive "
                              "relay powers")
-        if coeffs is None:
-            from .model import compute_link_coefficients
-            coeffs = compute_link_coefficients(config)
+        coeffs = compute_link_coefficients(config)
         pe_user = coeffs.c_u[:, :, None] * policy.p_u[:, None, :] ** (-config.m)
         pe_relay = coeffs.c_r[:, None] * policy.p_r ** (-config.m)
         pr_out, pr_A, pr_B = network_outage_approx(policy.p_u, policy.p_r,

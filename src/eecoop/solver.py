@@ -599,6 +599,10 @@ def _solve_newton_system(H, g):
             c = sla.cho_factor(M, lower=True, check_finite=False)
             return sla.cho_solve(c, g, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
+            if not np.isfinite(H).all():
+                # no jitter mends a NaN or inf entry: return the NaN step
+                # a potrf that passes NaN through gives, a stall either way
+                return np.full_like(g, np.nan)
             jitter = 1e-12 if jitter == 0.0 else jitter * 100.0
     raise RuntimeError("Newton system could not be factorized")
 

@@ -31,7 +31,7 @@ from eecoop.model import (
     save_scenario,
     validate_policy,
 )
-from eecoop.montecarlo import RngSpec, estimate_outage
+from eecoop.montecarlo import estimate_outage
 from eecoop.outage import (
     network_outage_exact,
     network_outage_report,
@@ -212,7 +212,7 @@ def test_04_monte_carlo_agreement():
         t0 = time.monotonic()
         hits = 0
         for seed in range(40):
-            res = estimate_outage(cfg, pol, trials=10 ** 6, rng=RngSpec(seed))
+            res = estimate_outage(cfg, pol, trials=10 ** 6, seed=seed)
             if abs(float(res.pr_out[0]) - exact) <= 3.0 * sigma:
                 hits += 1
         elapsed = time.monotonic() - t0

@@ -344,6 +344,47 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["policy_source"] == "file"
 
+    @pytest.fixture()
+    def constant_policy(self, tmp_path):
+        """A reference policy file with 10 mW on every user and relay."""
+        cfg = load_scenario(REFERENCE)
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(Policy(
+            np.full((cfg.M, cfg.K), 0.01), np.full((cfg.N, cfg.K), 0.01),
+            np.zeros((cfg.K, cfg.M, cfg.M))).to_dict()), encoding="utf-8")
+        return path
+
+    def test_policy_file_counts_pinned(self, constant_policy):
+        """The outage tallies of simulate on the reference with a fixed
+        constant-power policy file, so no solver count enters: 200,000
+        trials are four chunks, so the pin covers the jumped substreams
+        1-3 as users run them."""
+        code, out = run_cli(["simulate", "--scenario", REFERENCE,
+                             "--policy", constant_policy, "--trials", 200000,
+                             "--seed", 5])
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["streams"] == 1
+        assert rec["outage_count"] == [24129, 23857, 23930, 23864, 24136,
+                                       24311, 24113, 24098, 23873, 23965]
+
+    def test_seed_out_of_range_exits_2(self, constant_policy, monkeypatch):
+        """A negative or 65-bit seed is invalid input, refused before any
+        trial is drawn."""
+        calls = []
+        monkeypatch.setattr(eecoop.montecarlo, "_tally_chunk",
+                            lambda *args: calls.append(args))
+        for seed in (-1, 2 ** 64):
+            code, out = run_cli(["simulate", "--scenario", REFERENCE,
+                                 "--policy", constant_policy,
+                                 "--trials", 1000,
+                                 "--seed", seed])
+            assert code == 2
+            assert json.loads(out) == {"error": {
+                "code": 2, "kind": "invalid_input",
+                "message": "seed must fit in 64 bits"}}
+        assert calls == []
+
     def test_infeasible_scenario_exits_3(self, toy_path):
         code, out = run_cli(["simulate", "--scenario", toy_path,
                              "--set", "pr_out_0=1e-9", "--trials", 100])

@@ -431,7 +431,8 @@ class TestLineSearch:
 class TestNewtonSystem:
     """_solve_newton_system factorizes H, adding jitter * trace(H)/n to the
     diagonal from 1e-12 up by factors of 100 while the factorization
-    fails, and gives up after 14 tries."""
+    fails, and gives up after 14 tries; a failed factorization of a
+    matrix with a non-finite entry returns a NaN step at once."""
 
     @pytest.fixture()
     def seen(self, monkeypatch):
@@ -467,6 +468,35 @@ class TestNewtonSystem:
             solver_mod._solve_newton_system(np.diag([1.0, -4.0]),
                                             np.ones(2))
         assert len(seen) == 14
+
+    @pytest.mark.parametrize("potrf", ["passes_nan", "checks_nan"])
+    def test_non_finite_matrix_stalls_after_one_factorization(
+            self, potrf, seen, monkeypatch):
+        """A NaN Hessian gives a NaN step after one factorization whether
+        potrf passes NaN through (OpenBLAS with check_finite=False) or
+        reports it as a failed pivot, and the Newton stage ends as a
+        stall before its first step instead of escalating the jitter."""
+        if potrf == "checks_nan":
+            recording = scipy.linalg.cho_factor
+
+            def checking(a, *args, **kwargs):
+                out = recording(a, *args, **kwargs)
+                if not np.isfinite(a).all():
+                    raise np.linalg.LinAlgError("non-finite matrix")
+                return out
+
+            monkeypatch.setattr(scipy.linalg, "cho_factor", checking)
+        H = np.array([[4.0, 1.0], [1.0, np.nan]])
+        g = np.array([1.0, 2.0])
+        step = solver_mod._solve_newton_system(H, g)
+        assert len(seen) == 1
+        assert not np.all(np.isfinite(step))
+        z0 = np.zeros(2)
+        z, iters, converged = solver_mod._damped_newton(
+            z0, lambda z: (1.0, g, H), tol=1e-9, max_iter=50)
+        assert (iters, converged) == (0, False)
+        np.testing.assert_array_equal(z, z0)
+        assert len(seen) == 2
 
     def test_factorizes_through_scipy_linalg_attribute(self, seen):
         """The solver looks cho_factor up on the scipy.linalg module at
