@@ -31,6 +31,7 @@ from .solver import (
     InfeasibleError,
     dinkelbach_optimize,
     inner_solve,
+    optimize,
 )
 from .baselines import (
     PolicyEvaluation,

@@ -2,7 +2,9 @@
 
 Four cheap baselines: per-period depleted energy use, no inter-user
 transfers, uniform power, and decode-and-forward relaying without network
-coding.
+coding.  All but the depleted one solve through solver.optimize, one
+period first; the depleted one pins user powers per period, so it solves
+the full horizon.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .outage import (
     network_outage_exact,
     network_outage_report,
 )
-from .solver import SolveResult, dinkelbach_optimize
+from .solver import SolveResult, dinkelbach_optimize, optimize
+
 
 @dataclass
 class PolicyEvaluation:
@@ -42,8 +45,20 @@ class PolicyEvaluation:
     extra: dict = field(default_factory=dict)
 
 
-def no_transfer_policy(config: ScenarioConfig) -> SolveResult:
-    """Optimized powers with inter-user energy transfer disabled."""
+def no_transfer_policy(config: ScenarioConfig,
+                       optimized: SolveResult = None) -> SolveResult:
+    """Optimized powers with inter-user energy transfer disabled.
+
+    optimized is an optional optimize(config) result of the same scenario.
+    Its one-period relaxation has no transfers, so it is this baseline's
+    relaxation too: a result on the one_period path is returned as is, and
+    after a full-path result the one-period solve, which would end the
+    same way, is skipped for the full transfer-free solve.
+    """
+    if optimized is None:
+        return optimize(config, transfers=False)
+    if optimized.path == "one_period":
+        return optimized
     return dinkelbach_optimize(config, transfers=False)
 
 
@@ -74,7 +89,7 @@ def uniform_power_policy(config: ScenarioConfig,
     M, K, T = config.M, config.K, config.T
     level = min(float(config.arrivals.sum()) / (M * K * T), config.p_max)
     if relay_powers_from is None:
-        relay_powers_from = dinkelbach_optimize(config)
+        relay_powers_from = optimize(config)
     if isinstance(relay_powers_from, SolveResult):
         if relay_powers_from.status == "infeasible":
             return PolicyEvaluation(
@@ -208,6 +223,18 @@ def _nonc_audit(config: ScenarioConfig, policy: Policy):
     return feas, report, bits / e_tot
 
 
+def nonc_df_arguments(config: ScenarioConfig) -> dict:
+    """The solver keywords of plain relaying: one table per user (the A+B
+    table of the one-user network of user i and its relays) and the
+    per-user audit.  Needs N >= M."""
+    M, N = config.M, config.N
+    coeffs = compute_link_coefficients(config)
+    tables = [build_outage_tables(coeffs, M, N, parts=("AB",),
+                                  group=([i], relays))[0]
+              for i, relays in enumerate(relay_assignment(M, N))]
+    return {"tables_weights": (tables, [1.0] * M), "audit": _nonc_audit}
+
+
 def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
     """Energy-efficiency optimum of plain decode-and-forward relaying.
 
@@ -225,12 +252,6 @@ def nonc_df_policy(config: ScenarioConfig) -> SolveResult:
     some user has no relay and loses its message with probability one, so
     the result is infeasible with binding class outage.
     """
-    M, N = config.M, config.N
-    if N < M:
+    if config.N < config.M:
         return SolveResult(status="infeasible", binding_class="outage")
-    coeffs = compute_link_coefficients(config)
-    tables = [build_outage_tables(coeffs, M, N, parts=("AB",),
-                                  group=([i], relays))[0]
-              for i, relays in enumerate(relay_assignment(M, N))]
-    return dinkelbach_optimize(config, tables_weights=(tables, [1.0] * M),
-                               audit=_nonc_audit)
+    return optimize(config, **nonc_df_arguments(config))

@@ -35,6 +35,24 @@ The outer loop stops once |bits - q * energy| <= q_tol(config); that
 tolerance and the barrier method's are fixed, and no caller sets them.
 Solutions are audited against the exact outage expression afterwards.
 
+`optimize` is the entry point the CLI and the baselines use.  The periods
+share their link statistics, power box and outage target, and only energy
+causality couples them, so with causality dropped the problem is K copies
+of one period, and a ratio of sums is at most the best per-period ratio
+(Dinkelbach, Management Science 13(7), 1967).  `optimize` therefore first
+solves one period with no causality rows and no transfers (M + N
+variables), repeats those powers in every period with zero transfers and
+audits the repetition on the full horizon.  A repetition that passes is
+optimal for the full problem; any other outcome runs the full-horizon
+solve of `dinkelbach_optimize` on the same outage tables and start level,
+to the same result.  SolveResult.path names the path taken.  Where every
+table binds at the relaxation's optimum, that optimum is the point of
+least energy with every table at pr_out_0 (the Dinkelbach inner problem
+differs from least energy only by the outage rows' multipliers), a few
+Newton steps away; a repetition of it that breaks causality, or a
+relaxation that full power cannot make feasible, skips the one-period
+barrier solve.
+
 A barrier pass assembles all periods and all rows at once.  Each outage
 table is evaluated once for the whole (M+N, K) log-power matrix, giving
 per-period values, gradients and (K, M+N, M+N) Hessians.  The box rows are
@@ -57,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +106,12 @@ STAGE_TOL = 0.25        # half squared Newton decrement, other stages
 MAX_NEWTON = 80         # Newton iterations per barrier stage
 T0 = 100.0              # initial barrier parameter, phase 1 included
 PHASE1_MARGIN = 1e-3    # scaled strict-feasibility margin
+LEAST_ENERGY_STEPS = 30  # Newton steps of the one-period least-energy point
+# A least-energy user power this far over its causal limit (relative) is
+# over it in the barrier solve too: on the bundled network and the (3, 8)
+# benchmark networks the two agree to 1e-7 with the coded table and to
+# 1e-5 with plain relaying's tables.
+CAUSAL_RTOL = 1e-3
 
 
 class InfeasibleError(Exception):
@@ -306,17 +331,19 @@ class EEProblem:
     depleted variant pins user i's power in period k to its harvest over T,
     the initial battery counted in period 1, and has no transfers: its
     variables are the relay log powers, and its user rows of x_k are
-    constants.
+    constants.  causality=False drops the causality rows and with them the
+    transfers, the relaxation `optimize` solves on one period.
     """
 
     def __init__(self, config: ScenarioConfig, coeffs: LinkCoefficients,
                  *, transfers: bool = True, depleted: bool = False,
-                 tables_weights=None):
+                 causality: bool = True, tables_weights=None):
         M, N, K = config.M, config.N, config.K
         self.config = config
         self.coeffs = coeffs
         self.depleted = depleted
-        transfers = transfers and M > 1 and not depleted
+        causality = causality and not depleted
+        transfers = transfers and M > 1 and causality
         self.layout = Layout(M=M, N=N, K=K, with_users=not depleted,
                              with_transfers=transfers)
         lay = self.layout
@@ -347,7 +374,7 @@ class EEProblem:
         self.outage_cons = OutageCons(K * len(self.tables), config.pr_out_0)
         self.n_con = self.bounds.n + self.outage_cons.n
         self.energy_rows = None
-        if not depleted:
+        if causality:
             # Cumulative causality, one row per (user, period): spending
             # and net transfers through period k within arrivals through k.
             # The depleted pin makes it hold automatically.
@@ -489,7 +516,7 @@ class EEProblem:
     def constraint_values(self, z):
         """(soft class, g) per constraint block; g < 0 is strictly inside."""
         outage = [("outage", self.outage_cons.values(self.tables_at(z)))]
-        if self.energy_rows is None:    # the depleted variant has none
+        if self.energy_rows is None:    # depleted or relaxed: none
             return outage
         return [("causality", self.energy_rows.values(z))] + outage
 
@@ -563,16 +590,23 @@ class EEProblem:
                     "power_budget",
                     f"period {outside[0] + 1}: a user's harvest puts its "
                     f"power outside [P_MIN, p_max]")
-        lo, hi = math.log(P_MIN), math.log(cfg.p_max)
-        margin = 1e-4 * (hi - lo)
         z = np.zeros(self.layout.dim)
-        x_all = float(np.clip(self._uniform_outage_level(),
-                              lo + margin, hi - margin))
         if self.layout.with_users:
-            z[self.layout.user_idx.ravel()] = x_all
-        z[self.layout.relay_idx.ravel()] = x_all
+            z[self.layout.user_idx.ravel()] = self.start_level
+        z[self.layout.relay_idx.ravel()] = self.start_level
         z[self.layout.pair_mat] = 1e-2 * self.e_cap
         return z
+
+    @cached_property
+    def start_level(self) -> float:
+        """The common log power of initial_point: the uniform outage level
+        held inside the power box.  It depends on the tables, M, N,
+        pr_out_0 and p_max only, so a problem over more periods with the
+        same tables may take another's value."""
+        lo, hi = math.log(P_MIN), math.log(self.config.p_max)
+        margin = 1e-4 * (hi - lo)
+        return float(np.clip(self._uniform_outage_level(),
+                             lo + margin, hi - margin))
 
     def extract_policy(self, z) -> Policy:
         lay = self.layout
@@ -661,6 +695,7 @@ class InnerResult:
     v_prime_norm: float     # objective value (normalized by scale)
     newton_iters: int
     t_final: float
+    stalled_stages: int = 0  # stages that ended without converging
 
 
 def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
@@ -680,25 +715,28 @@ def inner_solve(problem: EEProblem, q: float, z0: np.ndarray,
     start at the optimum of a nearby problem can pass that solve's
     t_final: its one stage, the last and tight one, then re-centres in
     place instead of walking back to the centre of t = T0.  Every stage
-    runs on barrier_fgh alone: one pass per line-search trial.
+    runs on barrier_fgh alone: one pass per line-search trial.  A stage
+    that stalls (line search exhausted or MAX_NEWTON reached) does not
+    stop the path; it is counted in stalled_stages.
     """
     if not problem.strictly_feasible(z0):
         raise ValueError("inner_solve needs a strictly feasible start")
     z = z0.copy()
     t = t0
-    total = 0
+    total = stalled = 0
     while True:
         last = problem.n_con / t <= KKT_TOL
-        z, it, _conv = _damped_newton(
+        z, it, converged = _damped_newton(
             z, lambda zz: problem.barrier_fgh(zz, q, t),
             NEWTON_TOL if last else STAGE_TOL, MAX_NEWTON)
         total += it
+        stalled += not converged
         if last:
             break
         t *= BARRIER_MU
     return InnerResult(z=z, v_prime_norm=problem.objective.fgh(
                            z, q, problem.tables_at(z)),
-                       newton_iters=total, t_final=t)
+                       newton_iters=total, t_final=t, stalled_stages=stalled)
 
 
 def phase1(problem: EEProblem) -> tuple[np.ndarray, int]:
@@ -796,10 +834,17 @@ class SolveResult:
     defect, and there is no threshold retry.  q_star is the achieved
     bits-per-joule ratio of the approximate model; ee_exact re-evaluates
     the returned policy with exact outage.  trace holds one (q, V,
-    newton_iterations) triple per outer iteration; newton_iters_total sums
-    its inner-solve counts and phase1_newton_iters counts phase 1's, on an
-    infeasible result too.  threshold_internal is the per-period outage
-    bound the tables were solved for, pr_out_0.
+    newton_iterations) triple per outer iteration of the solve that
+    produced the policy, and stalled_stages counts its inner barrier
+    stages that ended without converging.  newton_iters_total sums the
+    inner-solve counts and phase1_newton_iters phase 1's, on an infeasible
+    result too; after a discarded one-period solve (optimize's fallback)
+    both also count that solve's, so newton_iters_total then exceeds the
+    trace's sum.  threshold_internal is the per-period outage bound the
+    tables were solved for, pr_out_0.  path is "one_period" when the policy
+    is `optimize`'s audited repetition of one period's optimum (its trace's
+    V is then one period's bits) and "full" when a full-horizon solve
+    produced it; the audit fields always cover the full horizon.
     """
 
     status: str
@@ -814,6 +859,8 @@ class SolveResult:
     binding_class: str = None
     newton_iters_total: int = 0
     phase1_newton_iters: int = 0
+    stalled_stages: int = 0
+    path: str = "full"
 
     @property
     def feasible(self) -> bool:
@@ -862,10 +909,87 @@ def _nc_audit(config: ScenarioConfig, policy: Policy):
     return feas, report, ee
 
 
+def _solve(problem: EEProblem) -> tuple[SolveResult, np.ndarray]:
+    """Phase 1 and the Dinkelbach iteration on one problem.
+
+    Returns the result before its policy is extracted and audited, and the
+    optimum z; z is None when phase 1 certified infeasibility.
+    """
+    config = problem.config
+    try:
+        z, phase1_iters = phase1(problem)
+    except InfeasibleError as err:
+        return SolveResult(status="infeasible",
+                           binding_class=err.binding_class,
+                           threshold_internal=config.pr_out_0,
+                           phase1_newton_iters=err.newton_iters), None
+    energy, bits = problem.objective.energy_and_bits(z, problem.tables_at(z))
+    q = max(bits, 0.0) / energy
+    v_tol = q_tol(config)
+    trace = []
+    status = "max_iterations"
+    total_iters = stalled = 0
+    # the phase-1 point is far from the central path, so the first solve
+    # starts at T0; each later one starts at the last optimum
+    t = T0
+    for _outer in range(MAX_OUTER):
+        res = inner_solve(problem, q, z, t)
+        z, t = res.z, res.t_final
+        energy, bits = problem.objective.energy_and_bits(
+            z, problem.tables_at(z))
+        V = bits - q * energy
+        trace.append((q, V, res.newton_iters))
+        total_iters += res.newton_iters
+        stalled += res.stalled_stages
+        if abs(V) <= v_tol:
+            status = "converged"
+            break
+        q = bits / energy
+
+    # q_star is the achieved ratio of the approximate model at the solver
+    # optimum, read off before cosmetic cleanup (which cannot be
+    # represented in log coordinates once a relay snaps to zero).
+    return SolveResult(status=status, q_star=bits / energy, trace=trace,
+                       threshold_internal=config.pr_out_0,
+                       newton_iters_total=total_iters,
+                       phase1_newton_iters=phase1_iters,
+                       stalled_stages=stalled), z
+
+
+def _audited(res: SolveResult, config: ScenarioConfig, policy: Policy,
+             audit) -> SolveResult:
+    """res with policy and its one exact audit on config filled in; a
+    policy that fails the audit turns the status to audit_failed."""
+    feas, outage_report, ee_exact = audit(config, policy)
+    if not feas.feasible:
+        res.status = "audit_failed"
+    res.policy, res.feasibility = policy, feas
+    res.ee_exact, res.outage_exact = ee_exact, outage_report
+    res.e_tot = total_energy(config, policy)
+    return res
+
+
+def _full_horizon(problem: EEProblem, coded: bool, audit) -> SolveResult:
+    """Solve problem over its whole horizon, clean the policy up and audit
+    it once; coded says whether problem's tables are the network-coded
+    ones, the only outage model whose relays may snap to zero."""
+    config = problem.config
+    res, z = _solve(problem)
+    if z is None:
+        return res
+    policy = _cleanup_transfers(config, problem.extract_policy(z))
+    if coded:
+        # the snap test is phrased in terms of the network-coded outage, so
+        # leave relays alone when a custom outage model is in use
+        policy = _snap_relays(config, policy)
+    return _audited(res, config, policy, audit)
+
+
 def dinkelbach_optimize(config: ScenarioConfig, *,
                         transfers: bool = True, depleted: bool = False,
                         tables_weights=None, audit=None) -> SolveResult:
-    """Maximize energy efficiency and audit the result with exact outage.
+    """Maximize energy efficiency over the full horizon and audit the
+    result with exact outage.
 
     One pass: build the problem, find a strictly feasible point (phase 1),
     run the Dinkelbach iteration, clean the policy up and audit it once.
@@ -882,56 +1006,146 @@ def dinkelbach_optimize(config: ScenarioConfig, *,
     relaying baseline).  audit overrides the exact feasibility check; the
     default audits the network-coded outage.
     """
+    problem = EEProblem(config, compute_link_coefficients(config),
+                        transfers=transfers, depleted=depleted,
+                        tables_weights=tables_weights)
+    return _full_horizon(problem, tables_weights is None, audit or _nc_audit)
+
+
+def _least_energy_point(problem: EEProblem):
+    """Log powers of the one-period relaxation's optimum, without the
+    barrier, when every outage table binds there; None otherwise.
+
+    problem is the relaxation (no causality rows, no transfers).  Newton
+    on the optimality conditions of the least energy T * sum(exp(x)) with
+    every log table at log pr_out_0, one multiplier mu per table, from the
+    start level.  That point is the relaxation's energy-efficiency
+    optimum when it lies inside the power box and q * mu >= lost bits *
+    pr_out_0 for every table, at its own ratio q: then it solves the
+    Dinkelbach inner problem at q (convex in log powers) with value zero,
+    the table rows taking the rest of each multiplier.  None when Newton
+    does not settle in LEAST_ENERGY_STEPS steps, leaves the box, or a
+    multiplier falls short.
+    """
+    config = problem.config
+    T, thr, n = config.T, config.pr_out_0, problem.layout.dim
+    lo, hi = math.log(P_MIN), math.log(config.p_max)
+    x = np.full(n, problem.start_level)
+    mu = None
+    for _ in range(LEAST_ENERGY_STEPS):
+        parts = [tb.value_grad_hess(x) for tb in problem.tables]
+        v = np.array([p[0] for p in parts])
+        e = T * np.exp(x)
+        with np.errstate(all="ignore"):    # a table at 0 or inf: no point
+            G = np.array([p[1] for p in parts]) / v[:, None]  # d log table
+            r = np.log(v / thr)
+        try:
+            if mu is None:    # least squares for e + G^T mu = 0
+                mu = np.linalg.solve(G @ G.T, -G @ e)
+            r = np.concatenate([e + G.T @ mu, r])
+            if not np.isfinite(r).all():
+                return None
+            if np.abs(r).max() <= 1e-10 * e.max():
+                break
+            K = np.zeros((n + len(v), n + len(v)))
+            K[:n, :n] = np.diag(e) + sum(
+                m * (p[2] / vt - np.outer(g, g))
+                for m, p, vt, g in zip(mu, parts, v, G))
+            K[:n, n:], K[n:, :n] = G.T, G
+            d = np.linalg.solve(K, -r)
+        except np.linalg.LinAlgError:
+            return None
+        step = min(1.0, 1.0 / max(np.abs(d[:n]).max(), 1e-300))
+        x, mu = x + step * d[:n], mu + step * d[n:]
+        if not ((x > lo) & (x < hi)).all():
+            return None
+    else:
+        return None
+    energy, bits = problem.objective.energy_and_bits(x, problem.tables_at(x))
+    if not (bits / energy * mu >= problem.objective.table_bits * thr).all():
+        return None
+    return x
+
+
+def _causal_limit(config: ScenarioConfig) -> np.ndarray:
+    """Each user's largest power that a repetition with no transfers can
+    spend in every period: min over k of its harvest through period k,
+    the initial battery included, over k * T."""
+    through = np.cumsum(config.arrivals, axis=1) + config.Eu_0[:, None]
+    return (through / (config.T * np.arange(1, config.K + 1))).min(axis=1)
+
+
+def _one_period_may_pass(config: ScenarioConfig, problem: EEProblem) -> bool:
+    """False when the one-period solve of the relaxation problem is known
+    to end in a discard: no power in the box holds every table under
+    pr_out_0 (each table is at its least with every node at p_max), or
+    the relaxation's least-energy optimum puts a user more than
+    CAUSAL_RTOL over its causal limit."""
+    top = np.full(problem.layout.dim, math.log(config.p_max))
+    if any(tb.value(top) > config.pr_out_0 for tb in problem.tables):
+        return False
+    x = _least_energy_point(problem)
+    return x is None or bool((np.exp(x[:config.M]) <= _causal_limit(config)
+                              * (1.0 + CAUSAL_RTOL)).all())
+
+
+def optimize(config: ScenarioConfig, *, transfers: bool = True,
+             tables_weights=None, audit=None) -> SolveResult:
+    """Maximize energy efficiency: one period first, the full horizon when
+    causality binds.
+
+    The one-period relaxation keeps the box and the outage rows and drops
+    causality and transfers; neither eta nor the arrivals enter it.  Its
+    optimum, repeated in every period with zero transfers, is audited once
+    on the full horizon with the caller's audit.  A repetition that passes
+    is returned with path "one_period": it attains the relaxation's bound,
+    so it is optimal with transfers or without.  Any other outcome (the
+    one-period solve infeasible, stopped at max_iterations, raising
+    RuntimeError, or the repetition failing the audit) returns what
+    dinkelbach_optimize(config, ...) returns with the same arguments, so
+    every status, binding class and policy is the full solve's; only its
+    Newton counts also include the discarded one-period solve's.
+
+    Most of those discards are known before the solve, which is then
+    skipped (_one_period_may_pass): a table above pr_out_0 with every
+    node at p_max leaves the relaxation infeasible, and otherwise the
+    relaxation's optimum is its least-energy point when every table
+    binds there (_least_energy_point, a few Newton steps on M + N +
+    tables unknowns), whose user powers may exceed their causal limit.  The full solve reuses the one-period problem's outage
+    tables and start level (neither depends on K).  The depleted variant
+    pins powers per period and is not stationary: it has no one-period
+    path.
+    """
+    M, K = config.M, config.K
     coeffs = compute_link_coefficients(config)
-    v_tol = q_tol(config)
-    audit = audit or _nc_audit
-
     coded = tables_weights is None
-    problem = EEProblem(config, coeffs, transfers=transfers,
-                        depleted=depleted, tables_weights=tables_weights)
-    try:
-        z, phase1_iters = phase1(problem)
-    except InfeasibleError as err:
-        return SolveResult(status="infeasible",
-                           binding_class=err.binding_class,
-                           threshold_internal=config.pr_out_0,
-                           phase1_newton_iters=err.newton_iters)
-    energy, bits = problem.objective.energy_and_bits(z, problem.tables_at(z))
-    q = max(bits, 0.0) / energy
-    trace = []
-    status = "max_iterations"
-    total_iters = 0
-    # the phase-1 point is far from the central path, so the first solve
-    # starts at T0; each later one starts at the last optimum
-    t = T0
-    for _outer in range(MAX_OUTER):
-        res = inner_solve(problem, q, z, t)
-        z, t = res.z, res.t_final
-        energy, bits = problem.objective.energy_and_bits(
-            z, problem.tables_at(z))
-        V = bits - q * energy
-        trace.append((q, V, res.newton_iters))
-        total_iters += res.newton_iters
-        if abs(V) <= v_tol:
-            status = "converged"
-            break
-        q = bits / energy
-
-    # q_star is the achieved ratio of the approximate model at the solver
-    # optimum, read off before cosmetic cleanup (which cannot be
-    # represented in log coordinates once a relay snaps to zero).
-    q_star = bits / energy
-    policy = _cleanup_transfers(config, problem.extract_policy(z))
     if coded:
-        # the snap test is phrased in terms of the network-coded outage, so
-        # leave relays alone when a custom outage model is in use
-        policy = _snap_relays(config, policy)
-    feas, outage_report, ee_exact = audit(config, policy)
-    return SolveResult(status=status if feas.feasible else "audit_failed",
-                       policy=policy, q_star=q_star, trace=trace,
-                       feasibility=feas, ee_exact=ee_exact,
-                       e_tot=total_energy(config, policy),
-                       outage_exact=outage_report,
-                       threshold_internal=config.pr_out_0,
-                       newton_iters_total=total_iters,
-                       phase1_newton_iters=phase1_iters)
+        tables_weights = _coded_tables(coeffs, M, config.N)
+    audit = audit or _nc_audit
+    one = EEProblem(config.replace(K=1, arrivals=np.zeros((M, 1))), coeffs,
+                    causality=False, tables_weights=tables_weights)
+    res = z = None
+    if _one_period_may_pass(config, one):
+        try:
+            res, z = _solve(one)
+        except RuntimeError:
+            res = z = None
+    if res is not None and res.status == "converged":
+        period = one.extract_policy(z)
+        policy = Policy(p_u=np.repeat(period.p_u, K, axis=1),
+                        p_r=np.repeat(period.p_r, K, axis=1),
+                        transfers=np.zeros((K, M, M)))
+        if coded:
+            policy = _snap_relays(config, policy)
+        res = _audited(res, config, policy, audit)
+        if res.status == "converged":
+            res.path = "one_period"
+            return res
+    problem = EEProblem(config, coeffs, transfers=transfers,
+                        tables_weights=tables_weights)
+    problem.start_level = one.start_level
+    full = _full_horizon(problem, coded, audit)
+    if res is not None:
+        full.newton_iters_total += res.newton_iters_total
+        full.phase1_newton_iters += res.phase1_newton_iters
+    return full

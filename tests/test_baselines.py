@@ -21,6 +21,7 @@ from eecoop import outage
 from eecoop.baselines import (
     depleted_energy_policy,
     no_transfer_policy,
+    nonc_df_arguments,
     nonc_df_policy,
     relay_assignment,
     uniform_power_policy,
@@ -37,7 +38,7 @@ from eecoop.model import (
     validate_policy,
 )
 from eecoop.outage import build_outage_tables, network_outage_report
-from eecoop.solver import dinkelbach_optimize
+from eecoop.solver import dinkelbach_optimize, optimize
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" \
     / "reference_m2n4.json"
@@ -243,19 +244,23 @@ class TestNoncDf:
     def test_one_user_is_the_coded_network(self, N):
         """With one user, plain relaying is the network-coded protocol:
         the same table and the same exact outage, so the same iterate path,
-        policy and exact efficiency, bit for bit.  At N = 14 the table's
+        policy and exact efficiency, bit for bit, through optimize's path
+        choice and through the full-horizon solve.  At N = 14 the table's
         16,384 terms take the recursion."""
         cfg = tiled_config(load_scenario(REFERENCE), 1, N, 3)
-        nonc, coded = nonc_df_policy(cfg), dinkelbach_optimize(cfg)
-        assert nonc.status == coded.status == "converged"
-        for name in ("newton_iters_total", "phase1_newton_iters", "trace",
-                     "q_star", "ee_exact", "e_tot"):
-            assert getattr(nonc, name) == getattr(coded, name), name
-        for name in ("p_u", "p_r", "transfers"):
-            assert np.array_equal(getattr(nonc.policy, name),
-                                  getattr(coded.policy, name)), name
-        assert np.array_equal(nonc.outage_exact.pr_out[0],
-                              coded.outage_exact.pr_out)
+        pairs = [(nonc_df_policy(cfg), optimize(cfg)),
+                 (dinkelbach_optimize(cfg, **nonc_df_arguments(cfg)),
+                  dinkelbach_optimize(cfg))]
+        for nonc, coded in pairs:
+            assert nonc.status == coded.status == "converged"
+            for name in ("path", "newton_iters_total", "phase1_newton_iters",
+                         "trace", "q_star", "ee_exact", "e_tot"):
+                assert getattr(nonc, name) == getattr(coded, name), name
+            for name in ("p_u", "p_r", "transfers"):
+                assert np.array_equal(getattr(nonc.policy, name),
+                                      getattr(coded.policy, name)), name
+            assert np.array_equal(nonc.outage_exact.pr_out[0],
+                                  coded.outage_exact.pr_out)
 
     def test_large_groups_take_the_recursion(self, monkeypatch):
         """Tiled to (2, 24), each user has 12 relays and a 4,096-term
@@ -297,6 +302,25 @@ class TestNoTransfer:
         b = no_transfer_policy(solver_toy(eta=1.0, arrival_lo=1.0,
                                           arrival_hi=6.0))
         assert a.ee_exact == pytest.approx(b.ee_exact, rel=1e-9)
+
+    def test_reuses_a_one_period_optimum(self):
+        """A one-period optimize result is the transfer-free optimum too;
+        after a full-path one, the full transfer-free solve runs at once."""
+        cfg = load_scenario(REFERENCE)
+        opt = optimize(cfg)
+        assert opt.path == "one_period"
+        assert no_transfer_policy(cfg, opt) is opt
+        alone = no_transfer_policy(cfg)
+        assert alone.path == "one_period"
+        assert alone.q_star == opt.q_star and alone.trace == opt.trace
+
+        cfg = cfg.replace(pr_out_0=1e-5)
+        opt = optimize(cfg)
+        assert opt.path == "full"
+        res, full = (no_transfer_policy(cfg, opt),
+                     dinkelbach_optimize(cfg, transfers=False))
+        assert res.path == "full"
+        assert res.q_star == full.q_star and res.trace == full.trace
 
 
 class TestDepleted:

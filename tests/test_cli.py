@@ -153,6 +153,19 @@ class TestOptimize:
         assert rec["phase1_newton_iters"] >= 0
         assert max(rec["outage"]["pr_out"]) <= 0.05 * (1 + 1e-5)
 
+    @pytest.mark.parametrize("overrides,path", [
+        ([], "one_period"), (["--set", "pr_out_0=1e-5"], "full")])
+    def test_reference_path(self, overrides, path):
+        """The reference's one-period optimum passes the full audit at its
+        own target; at 1e-5 its repetition breaks causality."""
+        code, out = run_cli(["optimize", "--scenario", REFERENCE,
+                             *overrides])
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["path"] == path
+        assert rec["stalled_stages"] == 0
+        assert len(rec["outage"]["pr_out"]) == 10
+
     def test_override_changes_threshold(self, toy_path):
         code, out = run_cli(["optimize", "--scenario", toy_path,
                              "--set", "pr_out_0=0.02"])
@@ -562,6 +575,17 @@ class TestCompare:
         assert [(r["method"], r["feasible"], r["reason"]) for r in rows] \
             == [(m, "false", "outage") for m in cli.COMPARE_METHODS]
 
+    def test_one_period_rows_equal(self):
+        """On the reference the optimum is one period repeated, which is
+        also the transfer-free optimum: the two rows are equal."""
+        code, out = run_cli(["compare", "--scenario", REFERENCE])
+        assert code == 0
+        _, rows = parse_csv(out)
+        by = {r.pop("method"): r for r in rows}
+        assert by["optimized"]["feasible"] == "true"
+        assert by["optimized"] == by["no_transfer"]
+        assert float(by["optimized"]["transfers_total"]) == 0.0
+
     def test_golden_csv_schema(self, toy_path, tmp_path):
         """Schema golden file: structure byte-stable, numbers to 1e-6."""
         import pathlib
@@ -592,7 +616,7 @@ class TestSolverFailure:
     def broken_solver(self, monkeypatch):
         def boom(config, *args, **kwargs):
             raise RuntimeError("solver  blew\nup")
-        monkeypatch.setattr(cli, "dinkelbach_optimize", boom)
+        monkeypatch.setattr(cli, "optimize", boom)
 
     @staticmethod
     def error(out):
@@ -646,14 +670,14 @@ class TestAuditFailure:
 
     @pytest.mark.parametrize("command", ["optimize", "simulate"])
     def test_single_solve_commands(self, toy_path, monkeypatch, command):
-        solve = cli.dinkelbach_optimize
+        solve = cli.optimize
 
         def audit_failed(config, *args, **kwargs):
             res = solve(config, *args, **kwargs)
             res.status = "audit_failed"
             return res
 
-        monkeypatch.setattr(cli, "dinkelbach_optimize", audit_failed)
+        monkeypatch.setattr(cli, "optimize", audit_failed)
         code, out = run_cli([command, "--scenario", toy_path])
         assert code == 4
         # optimize writes the failed solve's record before the error

@@ -13,6 +13,7 @@ from eecoop import solver as solver_mod
 from eecoop.baselines import (
     depleted_energy_policy,
     no_transfer_policy,
+    nonc_df_arguments,
     nonc_df_policy,
 )
 from eecoop.model import (
@@ -30,6 +31,7 @@ from eecoop.solver import (
     InfeasibleError,
     dinkelbach_optimize,
     inner_solve,
+    optimize,
     phase1,
     q_tol,
 )
@@ -261,6 +263,35 @@ class TestInnerSolve:
                                                   rel=1e-9)
         assert warm.newton_iters < cold.newton_iters
 
+    def test_stalled_stages_are_counted(self, monkeypatch):
+        """With MAX_NEWTON = 3 the reference's barrier stages hit the cap:
+        every inner stage that returns unconverged is counted, in the
+        inner result and summed in the solve's, and the status rule is
+        unchanged (the solve still ends converged)."""
+        stalls = []
+        damped_newton = solver_mod._damped_newton
+
+        def recording(z, fgh, tol, max_iter, stop=None):
+            out = damped_newton(z, fgh, tol, max_iter, stop)
+            if stop is None:        # an inner stage; phase 1 passes stop
+                stalls.append(not out[2])
+            return out
+
+        inner = []
+        inner_solve_ = solver_mod.inner_solve
+
+        def recorded(*args, **kwargs):
+            inner.append(inner_solve_(*args, **kwargs))
+            return inner[-1]
+
+        monkeypatch.setattr(solver_mod, "MAX_NEWTON", 3)
+        monkeypatch.setattr(solver_mod, "_damped_newton", recording)
+        monkeypatch.setattr(solver_mod, "inner_solve", recorded)
+        res = dinkelbach_optimize(load_scenario(REFERENCE))
+        assert res.status == "converged"
+        assert res.stalled_stages == sum(stalls) > 0
+        assert sum(r.stalled_stages for r in inner) == res.stalled_stages
+
 
 class TestCentring:
     """Only a stage whose duality gap is read is centred to NEWTON_TOL:
@@ -321,25 +352,47 @@ class TestCentring:
             + [solver_mod.NEWTON_TOL]
         return stages[-1][3][-1]
 
-    @pytest.mark.parametrize("solve", [
-        dinkelbach_optimize, depleted_energy_policy, nonc_df_policy,
-        no_transfer_policy])
-    def test_inner_solves_centre_their_last_stage_tightly(self, calls,
-                                                          solve):
-        res = solve(load_scenario(REFERENCE))
-        assert res.status == "converged"
-        runs = self.runs(calls)
+    # each method's full-horizon solve, under the method's name
+    FULL = {
+        "dinkelbach_optimize": lambda cfg: {},
+        "depleted_energy_policy": lambda cfg: {"depleted": True},
+        "nonc_df_policy": nonc_df_arguments,
+        "no_transfer_policy": lambda cfg: {"transfers": False},
+    }
+
+    @classmethod
+    def inner_tols(cls, calls, res):
+        """The tolerances of each run, after checking that phase 1 came
+        first and that every inner solve centres only its last stage
+        tightly."""
+        runs = cls.runs(calls)
         assert [name for name, _ in runs] == \
             ["phase1"] + ["inner_solve"] * len(res.trace)
         tols = [[c[0] for c in stages] for _, stages in runs]
-        # feasible: no certificate, so phase 1 never centres tightly
-        assert set(tols[0]) == {solver_mod.STAGE_TOL}
         first = tols[1]
         assert len(first) > 1
         assert first == [solver_mod.STAGE_TOL] * (len(first) - 1) \
             + [solver_mod.NEWTON_TOL]
         # each warm-started solve is its last stage alone
         assert all(t == [solver_mod.NEWTON_TOL] for t in tols[2:])
+        return tols
+
+    @pytest.mark.parametrize("method", list(FULL))
+    def test_inner_solves_centre_their_last_stage_tightly(self, calls,
+                                                          method):
+        cfg = load_scenario(REFERENCE)
+        res = dinkelbach_optimize(cfg, **self.FULL[method](cfg))
+        assert res.status == "converged" and res.path == "full"
+        # feasible: no certificate, so phase 1 never centres tightly
+        assert set(self.inner_tols(calls, res)[0]) == {solver_mod.STAGE_TOL}
+
+    @pytest.mark.parametrize("solve", [optimize, nonc_df_policy])
+    def test_one_period_solves_run_no_phase1_stage(self, calls, solve):
+        """The one-period start is strictly feasible: phase 1 runs no
+        stage, and the inner solves centre as on the full path."""
+        res = solve(load_scenario(REFERENCE))
+        assert res.status == "converged" and res.path == "one_period"
+        assert self.inner_tols(calls, res)[0] == []
 
     @pytest.mark.parametrize("cfg", [
         solver_toy(pr_out_0=1e-12),
@@ -1052,31 +1105,230 @@ class TestReferencePin:
     reversed (Python 3.11, NumPy 2.4.6, SciPy 1.17.1).  A change to the
     counts is a change to the iterate path: re-record them in that change
     and say why.
+
+    PINS are the full-horizon solves, dinkelbach_optimize with each
+    method's arguments.  ONE_PERIOD_PINS are the one-period path that
+    optimize and nonc_df_policy take on the reference: causality does not
+    bind there, and the one-period start is strictly feasible, so phase 1
+    takes no Newton step.
     """
 
     PINS = {
-        "optimized": (dinkelbach_optimize, 37, 7, 2, 119375.69334521322,
+        "optimized": (lambda cfg: {}, 37, 7, 2, 119375.69334521322,
                       119379.7947315367, 1e-4),
-        "depleted_energy": (depleted_energy_policy, 28, 2, 2,
+        "depleted_energy": (lambda cfg: {"depleted": True}, 28, 2, 2,
                             52519.45986947246, 52521.98649519647, 1e-4),
-        "nonc_df": (nonc_df_policy, 37, 8, 2, 29138.931256132604,
+        "nonc_df": (nonc_df_arguments, 37, 8, 2, 29138.931256132604,
                     29139.0477202311, 1e-4),
-        "no_transfer": (no_transfer_policy, 31, 6, 2, 119375.69573272503,
-                        119379.79473153682, 1e-4),
+        "no_transfer": (lambda cfg: {"transfers": False}, 31, 6, 2,
+                        119375.69573272503, 119379.79473153682, 1e-4),
+    }
+    ONE_PERIOD_PINS = {
+        "optimized": (optimize, 19, 0, 2, 119375.69573282822,
+                      119379.79473187047),
+        "nonc_df": (nonc_df_policy, 28, 0, 2, 29138.931839583776,
+                    29139.04772090743),
     }
 
     @pytest.mark.parametrize("method", list(PINS))
     def test_reference_iterate_path(self, method):
-        (solve, newton, newton_phase1, outer, q_star, ee_exact,
+        (arguments, newton, newton_phase1, outer, q_star, ee_exact,
          threshold) = self.PINS[method]
-        res = solve(load_scenario(REFERENCE))
+        cfg = load_scenario(REFERENCE)
+        res = dinkelbach_optimize(cfg, **arguments(cfg))
         assert res.status == "converged"
+        assert res.path == "full"
         assert res.newton_iters_total == newton
         assert res.phase1_newton_iters == newton_phase1
         assert len(res.trace) == outer
+        assert res.stalled_stages == 0
         assert res.q_star == pytest.approx(q_star, rel=1e-9)
         assert res.ee_exact == pytest.approx(ee_exact, rel=1e-9)
         assert res.threshold_internal == pytest.approx(threshold, rel=1e-9)
+
+    @pytest.mark.parametrize("method", list(ONE_PERIOD_PINS))
+    def test_one_period_iterate_path(self, method):
+        solve, newton, newton_phase1, outer, q_star, ee_exact = \
+            self.ONE_PERIOD_PINS[method]
+        res = solve(load_scenario(REFERENCE))
+        assert res.status == "converged"
+        assert res.path == "one_period"
+        assert res.newton_iters_total == newton
+        assert res.phase1_newton_iters == newton_phase1
+        assert len(res.trace) == outer
+        assert res.stalled_stages == 0
+        assert res.q_star == pytest.approx(q_star, rel=1e-9)
+        assert res.ee_exact == pytest.approx(ee_exact, rel=1e-9)
+        # the full-horizon pin's optimum, within the solver's accuracy
+        assert res.ee_exact == pytest.approx(self.PINS[method][5], rel=1e-9)
+
+
+class TestOnePeriodPath:
+    """optimize solves one period first and keeps its repetition only when
+    that passes the full-horizon audit; otherwise it returns the
+    full-horizon solve.  All on the reference, K = 10."""
+
+    CAUSAL = [(1.0, 1e-4), (2.5, 1e-4), (2.5, 1e-5), (2.5, 6e-7)]
+
+    @staticmethod
+    def config(m, pr_out_0, eta=0.6):
+        return load_scenario(REFERENCE).replace(m=m, pr_out_0=pr_out_0,
+                                                eta=eta)
+
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    @pytest.mark.parametrize("m,pr_out_0", CAUSAL)
+    def test_causal_points_match_full_path(self, m, pr_out_0, eta):
+        cfg = self.config(m, pr_out_0, eta)
+        one, full = optimize(cfg), dinkelbach_optimize(cfg)
+        assert one.path == "one_period" and full.path == "full"
+        assert one.status == full.status == "converged"
+        assert one.feasible
+        assert one.phase1_newton_iters == 0
+        assert one.newton_iters_total < full.newton_iters_total
+        assert one.ee_exact == pytest.approx(full.ee_exact, rel=1e-9)
+        assert not one.policy.transfers.any()
+        assert one.outage_exact.pr_out.shape == (cfg.K,)
+        # one stationary period
+        assert np.all(one.policy.p_u == one.policy.p_u[:, :1])
+        assert np.all(one.policy.p_r == one.policy.p_r[:, :1])
+
+    @staticmethod
+    def assert_same_solve(res, full, counts=("newton_iters_total",)):
+        assert res.path == full.path == "full"
+        assert res.status == "converged"
+        for name in ("status", "q_star", "trace", "ee_exact", "e_tot",
+                     "threshold_internal", "binding_class",
+                     "phase1_newton_iters", "stalled_stages", *counts):
+            assert getattr(res, name) == getattr(full, name), name
+        for name in ("p_u", "p_r", "transfers"):
+            assert np.array_equal(getattr(res.policy, name),
+                                  getattr(full.policy, name)), name
+        assert np.array_equal(res.outage_exact.pr_out,
+                              full.outage_exact.pr_out)
+        assert res.feasibility.worst == full.feasibility.worst
+
+    @pytest.mark.parametrize("pr_out_0", [5e-5, 1e-5, 6e-7])
+    def test_non_causal_points_return_the_full_solve(self, pr_out_0):
+        """The repetition fails causality here, and the least-energy point
+        shows it before any barrier solve of one period: optimize's
+        result is dinkelbach_optimize's, bit for bit."""
+        cfg = self.config(1.0, pr_out_0)
+        self.assert_same_solve(optimize(cfg), dinkelbach_optimize(cfg))
+
+    @pytest.mark.parametrize("pr_out_0,discarded", [
+        (5e-5, 21), (1e-5, 20), (6e-7, 23)])
+    def test_a_discarded_one_period_solve_is_counted(self, monkeypatch,
+                                                     pr_out_0, discarded):
+        """Without the least-energy point the one-period solve runs, its
+        repetition fails causality, and the full solve's result comes
+        back with the discarded solve's Newton iterations added (none in
+        its phase 1)."""
+        cfg = self.config(1.0, pr_out_0)
+        full = dinkelbach_optimize(cfg)
+        monkeypatch.setattr(solver_mod, "_least_energy_point",
+                            lambda problem: None)
+        res = optimize(cfg)
+        self.assert_same_solve(res, full, counts=())
+        assert res.newton_iters_total == full.newton_iters_total + discarded
+
+    @staticmethod
+    def relaxation(cfg, tables_weights=None):
+        one = cfg.replace(K=1, arrivals=np.zeros((cfg.M, 1)))
+        return solver_mod.EEProblem(one, compute_link_coefficients(cfg),
+                                    causality=False,
+                                    tables_weights=tables_weights)
+
+    @pytest.mark.parametrize("plain", [False, True])
+    @pytest.mark.parametrize("m,pr_out_0", [
+        (1.0, 1e-4), (1.0, 5e-5), (1.0, 1e-5), (2.5, 1e-4), (2.5, 6e-7)])
+    def test_least_energy_point_is_the_one_period_optimum(self, m,
+                                                          pr_out_0, plain):
+        """Where every table binds, the least-energy point is the barrier
+        solve's one-period optimum, to well within CAUSAL_RTOL."""
+        cfg = self.config(m, pr_out_0)
+        problem = self.relaxation(
+            cfg, nonc_df_arguments(cfg)["tables_weights"] if plain else None)
+        x = solver_mod._least_energy_point(problem)
+        _, z = solver_mod._solve(problem)
+        assert np.abs(np.expm1(x - z)).max() < 1e-2 * solver_mod.CAUSAL_RTOL
+
+    @pytest.mark.parametrize("m,pr_out_0,plain", [
+        (0.5, 1e-4, False),    # a relay at p_max: the box binds
+        (2.5, 1e-2, True)])    # user 1's table is at 0.67 of the target
+    def test_least_energy_point_declines_where_a_table_is_slack(
+            self, m, pr_out_0, plain):
+        cfg = self.config(m, pr_out_0)
+        problem = self.relaxation(
+            cfg, nonc_df_arguments(cfg)["tables_weights"] if plain else None)
+        assert solver_mod._least_energy_point(problem) is None
+
+    def test_relaxation_ignores_eta_and_arrivals(self):
+        cfg = load_scenario(REFERENCE)
+        other = cfg.replace(eta=1.0, arrivals=1.5 * cfg.arrivals)
+        a, b = optimize(cfg), optimize(other)
+        assert a.path == b.path == "one_period"
+        for name in ("p_u", "p_r", "transfers"):
+            assert np.array_equal(getattr(a.policy, name),
+                                  getattr(b.policy, name)), name
+        assert a.trace == b.trace and a.q_star == b.q_star
+
+    def test_long_horizon_solves_the_same_period(self):
+        """The reference at m = 2.5 and 1e-4 tiled in time to K = 40: the
+        same one-period solve, repeated four times as often."""
+        cfg = self.config(2.5, 1e-4)
+        long = cfg.replace(K=40, arrivals=np.tile(cfg.arrivals, (1, 4)))
+        short, tiled = optimize(cfg), optimize(long)
+        assert short.path == tiled.path == "one_period"
+        assert tiled.newton_iters_total == short.newton_iters_total
+        assert tiled.phase1_newton_iters == short.phase1_newton_iters == 0
+        assert tiled.trace == short.trace
+        for name in ("p_u", "p_r"):
+            assert np.array_equal(getattr(tiled.policy, name),
+                                  np.tile(getattr(short.policy, name), 4))
+        assert tiled.ee_exact == pytest.approx(short.ee_exact, rel=1e-12)
+
+    def test_fallback_shares_tables_and_skips_the_one_period_solve(
+            self, monkeypatch):
+        """At m = 1 and 1e-5 the least-energy point shows the repetition
+        breaking causality, so no barrier solve of one period runs, and
+        the full solve takes the one-period problem's outage tables and
+        start level: one table build, one start-level bisection, one
+        solve and one audit."""
+        calls = []
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, run)
+
+        counted(solver_mod, "_coded_tables")
+        counted(solver_mod.EEProblem, "_uniform_outage_level")
+        counted(solver_mod, "validate_policy")
+        counted(solver_mod, "_solve")
+        res = optimize(self.config(1.0, 1e-5))
+        assert res.path == "full" and res.status == "converged"
+        assert sorted(calls) == ["_coded_tables", "_solve",
+                                 "_uniform_outage_level", "validate_policy"]
+
+    def test_one_period_failure_falls_back(self, monkeypatch):
+        """A one-period solve that raises RuntimeError leaves the answer
+        to the full-horizon solve."""
+        solve = solver_mod._solve
+
+        def broken_for_one_period(problem):
+            if problem.energy_rows is None:
+                raise RuntimeError("Newton system could not be factorized")
+            return solve(problem)
+
+        cfg = load_scenario(REFERENCE)
+        full = dinkelbach_optimize(cfg)
+        monkeypatch.setattr(solver_mod, "_solve", broken_for_one_period)
+        res = optimize(cfg)
+        assert res.path == "full"
+        assert res.q_star == full.q_star and res.trace == full.trace
 
 
 class TestVerdictPin:
